@@ -103,22 +103,6 @@ impl ScoringKernel {
         docs.iter().map(|doc| self.score(doc)).collect()
     }
 
-    /// Score a shortlist into a pre-filled output slice: for each position
-    /// `p` in `positions`, set `out[p] = self.score(&docs[p])`; other slots
-    /// are left untouched. This is the rescore half of pruned retrieval —
-    /// the caller zero-fills `out` first, which is exact because a document
-    /// absent from the shortlist has no overlap with the model and every
-    /// bag similarity maps zero overlap to exactly `0.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any position is out of bounds for `docs` or `out`.
-    pub fn score_positions(&self, docs: &[SparseVector], positions: &[u32], out: &mut [f64]) {
-        for &p in positions {
-            out[p as usize] = self.score(&docs[p as usize]);
-        }
-    }
-
     /// Cosine via dense lookups: the merge-join dot product visits the
     /// common dimensions in sorted order; so does this loop, because doc
     /// entries are sorted and absent model dimensions read 0.0 and are
@@ -272,14 +256,6 @@ mod tests {
             for (b, s) in batch.iter().zip(&singles) {
                 assert_eq!(b.to_bits(), s.to_bits());
             }
-            // Shortlist rescore: positions 0 and 2 scored, the rest keep
-            // their zero fill (doc 3 has no overlap, doc 1 is empty).
-            let mut out = vec![0.0f64; docs.len()];
-            kernel.score_positions(&docs, &[0, 2], &mut out);
-            assert_eq!(out[0].to_bits(), singles[0].to_bits());
-            assert_eq!(out[2].to_bits(), singles[2].to_bits());
-            assert_eq!(out[1].to_bits(), 0.0f64.to_bits());
-            assert_eq!(out[3].to_bits(), 0.0f64.to_bits());
         }
     }
 

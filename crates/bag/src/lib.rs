@@ -36,4 +36,4 @@ pub use aggregate::{AggregationFunction, RocchioParams};
 pub use kernel::ScoringKernel;
 pub use similarity::BagSimilarity;
 pub use vector::SparseVector;
-pub use weighting::{BagVectorizer, IndexedVectorizer, WeightingScheme};
+pub use weighting::{weigh_runs, BagVectorizer, IndexedVectorizer, WeightingScheme};

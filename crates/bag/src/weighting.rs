@@ -234,25 +234,44 @@ impl IndexedVectorizer {
                 }
             }
         }
-        ids.sort_unstable();
-        let mut pairs: Vec<(TermId, f32)> = Vec::with_capacity(ids.len());
-        let mut i = 0;
-        while i < ids.len() {
-            let id = ids[i];
-            let mut f = 0u32;
-            while i < ids.len() && ids[i] == id {
-                f += 1;
-                i += 1;
-            }
-            let w = match self.weighting {
-                WeightingScheme::BF => 1.0,
-                WeightingScheme::TF => f as f32 / n_d as f32,
-                WeightingScheme::TFIDF => (f as f32 / n_d as f32) * self.idf(id),
-            };
-            pairs.push((id, w));
-        }
-        SparseVector::from_pairs(pairs)
+        weigh_runs(self.weighting, ids, n_d, |id| self.idf(id))
     }
+}
+
+/// Weigh a document given the ids of its in-vocabulary grams: sort the ids,
+/// count each run of equal ids, and weigh each count `f` against the
+/// document length `n_d`, which still counts the out-of-vocabulary grams
+/// the caller dropped. `idf` supplies the TF-IDF discount; BF and TF never
+/// call it. Counting by sort and run length needs no hashing, and the
+/// weights are identical to hash-counting's because the pairs are sorted
+/// by id afterwards either way.
+pub fn weigh_runs(
+    weighting: WeightingScheme,
+    mut ids: Vec<TermId>,
+    n_d: usize,
+    idf: impl Fn(TermId) -> f32,
+) -> SparseVector {
+    if n_d == 0 {
+        return SparseVector::new();
+    }
+    ids.sort_unstable();
+    let mut pairs: Vec<(TermId, f32)> = Vec::with_capacity(ids.len());
+    let mut i = 0;
+    while i < ids.len() {
+        let id = ids[i];
+        let mut f = 0u32;
+        while i < ids.len() && ids[i] == id {
+            f += 1;
+            i += 1;
+        }
+        let w = match weighting {
+            WeightingScheme::BF => 1.0,
+            WeightingScheme::TF => f as f32 / n_d as f32,
+            WeightingScheme::TFIDF => (f as f32 / n_d as f32) * idf(id),
+        };
+        pairs.push((id, w));
+    }
+    SparseVector::from_pairs(pairs)
 }
 
 #[cfg(test)]

@@ -34,12 +34,7 @@ fn bench_scoring(c: &mut Criterion) {
     let prepared =
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
     let users: Vec<UserId> = prepared.split.users().collect();
-    let opts = ScoringOptions {
-        iteration_scale: 0.01,
-        infer_iterations: 5,
-        seed: 1,
-        ..ScoringOptions::default()
-    };
+    let opts = ScoringOptions { iteration_scale: 0.01, infer_iterations: 5, seed: 1 };
     let mut group = c.benchmark_group("score_configuration");
     group.sample_size(10);
     group.bench_function("tn_tfidf_on_R", |b| {

@@ -24,12 +24,14 @@
 //! * **herd** — operations arrive in synchronized waves (thundering
 //!   herd): a full second of work lands at one instant, then silence.
 //!
-//! The harness also measures raw **capacity** (all arrivals at t=0) for
-//! the work-stealing runtime vs. the thread-per-shard baseline — the
-//! elastic-serving speedup figure — and finishes with an in-process
-//! **live-reshard** leg: snapshot mid-storm under the source layout,
-//! restore under shrunken and grown layouts, and byte-diff the stitched
-//! recommendation logs. Every leg's rec log must equal the `Replay`
+//! The harness also measures raw **capacity** (all arrivals at t=0) on the
+//! same `--workers` threads at two logical shard counts: `--workers`
+//! shards (one per thread) and `--shards`. Their ratio is the
+//! shard-multiplexing figure: how much throughput survives partitioning
+//! users far more finely than there are threads. It finishes with an
+//! in-process **live-reshard** leg: snapshot mid-storm under the source
+//! layout, restore under shrunken and grown layouts, and byte-diff the
+//! stitched recommendation logs. Every leg's rec log must equal the `Replay`
 //! reference; timing numbers are machine-specific diagnostics, excluded
 //! from determinism comparisons (see EXPERIMENTS.md).
 
@@ -45,7 +47,7 @@ use pmr_bench::Scale;
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{
     precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Replay, ReplayOptions,
-    RuntimeOptions, Scheduler, ServeModel, TweetFeatures,
+    RuntimeOptions, ServeModel, TweetFeatures,
 };
 use pmr_sim::{generate_corpus, SimConfig, Timestamp, TweetId, UserId};
 
@@ -84,7 +86,6 @@ impl LatencySummary {
 
 #[derive(Debug, Serialize)]
 struct CapacityLeg {
-    scheduler: &'static str,
     shards: usize,
     workers: usize,
     elapsed_s: f64,
@@ -112,7 +113,6 @@ struct ScenarioLeg {
 struct ReshardLayout {
     shards: usize,
     workers: usize,
-    scheduler: &'static str,
     identical: bool,
 }
 
@@ -141,9 +141,9 @@ struct LoadReport {
     ops: usize,
     queries: u64,
     capacity: Vec<CapacityLeg>,
-    /// Work-steal ops/s over thread-per-shard ops/s at the same shard
-    /// count — the elastic-serving headline figure.
-    speedup: f64,
+    /// Ops/s at `shards` logical shards over ops/s at `workers` logical
+    /// shards, both on `workers` threads: the shard-multiplexing figure.
+    shard_multiplexing: f64,
     scenarios: Vec<ScenarioLeg>,
     /// Every leg's recommendation log byte-equals the `Replay` reference.
     rec_log_identical: bool,
@@ -238,12 +238,7 @@ fn main() {
     // arbitrary layout. Every leg below must replicate its rec log.
     let replay_options = ReplayOptions {
         config,
-        runtime: RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: queue,
-            ..RuntimeOptions::default()
-        },
+        runtime: RuntimeOptions { shards, workers, queue_capacity: queue },
         k,
         query_every,
         jobs: 1,
@@ -261,39 +256,37 @@ fn main() {
         }
     };
 
-    // Capacity: all arrivals at t=0, work-steal vs. thread-per-shard.
-    // Three repetitions, best kept — a capacity leg finishes in well under
-    // a second at smoke scale, so a single run is scheduler-noise-bound.
-    let mut capacity = Vec::new();
-    for (scheduler, leg_workers) in [(Scheduler::Threaded, shards), (Scheduler::WorkSteal, workers)]
-    {
-        let runtime = RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: queue,
-            scheduler,
-            ..RuntimeOptions::default()
-        };
-        let mut best: Option<(Duration, pmr_obs::MetricsSnapshot)> = None;
-        for _ in 0..3 {
+    // Capacity: all arrivals at t=0, on the same workers at one logical
+    // shard per worker and at the requested shard count. A capacity leg
+    // finishes in well under a second at smoke scale, so a single run is
+    // scheduler-noise-bound: the two layouts alternate for five rounds,
+    // so both see the same stretch of host noise, and each keeps its best.
+    let layouts = [workers.max(1), shards];
+    let mut best: [Option<(Duration, pmr_obs::MetricsSnapshot)>; 2] = [None, None];
+    for _ in 0..5 {
+        for (slot, &leg_shards) in layouts.iter().enumerate() {
+            let runtime = RuntimeOptions { shards: leg_shards, workers, queue_capacity: queue };
             let (elapsed, metrics, recs) = drive(config, runtime, &ops, None, k);
-            check_log(scheduler.name(), &recs);
-            if best.as_ref().is_none_or(|(b, _)| elapsed < *b) {
-                best = Some((elapsed, metrics));
+            check_log(&format!("capacity at {leg_shards} shards"), &recs);
+            if best[slot].as_ref().is_none_or(|(b, _)| elapsed < *b) {
+                best[slot] = Some((elapsed, metrics));
             }
         }
-        let (elapsed, metrics) = best.expect("three repetitions ran");
+    }
+    let mut capacity = Vec::new();
+    for (leg_shards, leg_best) in layouts.into_iter().zip(best) {
+        let (elapsed, metrics) = leg_best.expect("five rounds ran");
         let leg = CapacityLeg {
-            scheduler: scheduler.name(),
-            shards,
-            workers: leg_workers,
+            shards: leg_shards,
+            workers,
             elapsed_s: elapsed.as_secs_f64(),
             ops_per_sec: ops.len() as f64 / elapsed.as_secs_f64(),
             backpressure: metrics.counter("serve.backpressure"),
         };
         eprintln!(
-            "capacity[{}]: {} ops in {:.2}s ({:.0} ops/s, backpressure {})",
-            leg.scheduler,
+            "capacity[{} shards x {} workers]: {} ops in {:.2}s ({:.0} ops/s, backpressure {})",
+            leg.shards,
+            leg.workers,
             ops.len(),
             leg.elapsed_s,
             leg.ops_per_sec,
@@ -301,23 +294,18 @@ fn main() {
         );
         capacity.push(leg);
     }
-    let speedup = capacity[1].ops_per_sec / capacity[0].ops_per_sec;
+    let shard_multiplexing = capacity[1].ops_per_sec / capacity[0].ops_per_sec;
     eprintln!(
-        "speedup: worksteal({workers} workers) = {speedup:.2}x thread-per-shard ({shards} shards)"
+        "shard multiplexing: {shards} shards = {shard_multiplexing:.2}x {workers} shards \
+         (both on {workers} workers)"
     );
 
-    // Paced scenarios on the work-stealing runtime.
+    // Paced scenarios at the requested layout.
     let rate = ops.len() as f64 / paced_seconds.max(0.1);
     let mut scenarios = Vec::new();
     for scenario in ["poisson", "storm", "herd"] {
         let schedule = build_schedule(scenario, ops.len(), rate, burst, seed);
-        let runtime = RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: queue,
-            scheduler: Scheduler::WorkSteal,
-            ..RuntimeOptions::default()
-        };
+        let runtime = RuntimeOptions { shards, workers, queue_capacity: queue };
         let (elapsed, metrics, recs) = drive(config, runtime, &ops, Some(&schedule), k);
         check_log(scenario, &recs);
         let buckets = backpressure_buckets(&metrics);
@@ -372,7 +360,7 @@ fn main() {
         ops: ops.len(),
         queries: reference.queries,
         capacity,
-        speedup,
+        shard_multiplexing,
         scenarios,
         rec_log_identical,
         reshard,
@@ -570,10 +558,9 @@ fn backpressure_buckets(metrics: &pmr_obs::MetricsSnapshot) -> Vec<u64> {
     buckets
 }
 
-/// The live-reshard leg: run the work-stealing source layout to just past
-/// the widest celebrity fan-out (mid-storm), snapshot through the JSONL
-/// wire format, and restore under shrunken, grown, and cross-scheduler
-/// layouts. The stitched head+tail rec log must byte-equal the reference.
+/// The live-reshard leg: run the source layout to just past the widest
+/// celebrity fan-out (mid-storm), snapshot through the JSONL wire format,
+/// and restore under shrunken, grown, and one-shard-per-worker layouts. The stitched head+tail rec log must byte-equal the reference.
 fn reshard_leg(
     prepared: &PreparedCorpus,
     options: ReplayOptions,
@@ -599,19 +586,9 @@ fn reshard_leg(
 
     let source = options.runtime;
     let mut layouts = Vec::new();
-    for (shards, workers, scheduler) in [
-        (1usize, 1usize, Scheduler::WorkSteal),
-        (source.shards * 4, source.workers * 2, Scheduler::WorkSteal),
-        (4, 4, Scheduler::Threaded),
-    ] {
+    for (shards, workers) in [(1, 1), (source.shards * 4, source.workers * 2), (4, 4)] {
         let restored = EngineSnapshot::from_jsonl(&wire).expect("snapshot parses");
-        let runtime = RuntimeOptions {
-            shards,
-            workers,
-            queue_capacity: source.queue_capacity,
-            scheduler,
-            ..RuntimeOptions::default()
-        };
+        let runtime = RuntimeOptions { shards, workers, queue_capacity: source.queue_capacity };
         let mut tail_run =
             Replay::resume(prepared, &restored, ReplayOptions { runtime, ..options })
                 .expect("configs match");
@@ -621,12 +598,11 @@ fn reshard_leg(
             head.recommendations.iter().chain(tail.recommendations.iter()).cloned().collect();
         let identical = rec_log(&stitched).expect("log serializes") == reference_log;
         eprintln!(
-            "reshard {} -> {shards} shards x {workers} workers ({}): {}",
+            "reshard {} -> {shards} shards x {workers} workers: {}",
             source.shards,
-            scheduler.name(),
             if identical { "byte-identical" } else { "DIVERGENT" }
         );
-        layouts.push(ReshardLayout { shards, workers, scheduler: scheduler.name(), identical });
+        layouts.push(ReshardLayout { shards, workers, identical });
     }
     let identical = layouts.iter().all(|l| l.identical);
     ReshardLeg {

@@ -288,12 +288,7 @@ mod tests {
 
     fn quick_opts() -> RunnerOptions {
         RunnerOptions {
-            scoring: ScoringOptions {
-                iteration_scale: 0.01,
-                infer_iterations: 5,
-                seed: 13,
-                ..ScoringOptions::default()
-            },
+            scoring: ScoringOptions { iteration_scale: 0.01, infer_iterations: 5, seed: 13 },
             ran_iterations: 100,
         }
     }

@@ -54,9 +54,9 @@ pub use features::{FeatureCache, GramKind, GramTable};
 pub use incremental::IncrementalModel;
 pub use online::{OnlineBagModel, OnlineGraphModel, OnlineProfile};
 pub use prepare::PreparedCorpus;
-pub use ranking::{rank_cmp, ThresholdHeap};
+pub use ranking::rank_cmp;
 pub use recommender::score_configuration;
-pub use retrieval::{Budget, ImpactIndex, RetrievalMode, WindowPostings};
+pub use retrieval::WindowPostings;
 pub use significance::{paired_randomization_test, wilcoxon_signed_rank, PairedComparison};
 pub use source::RepresentationSource;
 pub use split::{SplitConfig, TrainTestSplit, UserSplit};

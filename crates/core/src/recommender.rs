@@ -36,7 +36,6 @@ use crate::config::{AggKind, ModelConfiguration};
 use crate::eval::{average_precision, ScoredDoc};
 use crate::features::GramKind;
 use crate::prepare::PreparedCorpus;
-use crate::retrieval::{retrieve_and_rescore, Budget, ImpactIndex, RetrievalMode};
 use crate::source::RepresentationSource;
 
 /// Per-user outcome of one scored configuration.
@@ -69,21 +68,11 @@ pub struct ScoringOptions {
     pub infer_iterations: usize,
     /// Base seed for all stochastic steps.
     pub seed: u64,
-    /// Candidate retrieval for the bag and graph scoring arms. The sweep's
-    /// WAND path runs at full coverage (every overlapping candidate is
-    /// rescored exactly), so either mode produces byte-identical rankings;
-    /// `wand` only skips work that provably cannot change a score.
-    pub retrieval: RetrievalMode,
 }
 
 impl Default for ScoringOptions {
     fn default() -> Self {
-        ScoringOptions {
-            iteration_scale: 0.02,
-            infer_iterations: 10,
-            seed: 13,
-            retrieval: RetrievalMode::Exhaustive,
-        }
+        ScoringOptions { iteration_scale: 0.02, infer_iterations: 10, seed: 13 }
     }
 }
 
@@ -152,34 +141,11 @@ pub fn score_configuration(
                 };
                 let train_time = t0.elapsed();
                 let t1 = Instant::now();
-                let scores: Vec<f64> = match opts.retrieval {
-                    RetrievalMode::Exhaustive => {
-                        let _timer = pmr_obs::timer("kernel.score");
-                        test.iter()
-                            .map(|&id| kernel.score(&vectorizer.transform(table.doc(id))))
-                            .collect()
-                    }
-                    RetrievalMode::Wand => {
-                        // Shortlist at full coverage, then rescore with the
-                        // same kernel: byte-identical to the exhaustive arm,
-                        // skipping only candidates that provably score 0.0.
-                        let pool: Vec<SparseVector> = {
-                            let _t = pmr_obs::timer("bag.transform");
-                            test.iter().map(|&id| vectorizer.transform(table.doc(id))).collect()
-                        };
-                        let index = ImpactIndex::build(&pool);
-                        let keys: Vec<u32> =
-                            test.iter().map(|&id| crate::eval::tie_break_key(id.0)).collect();
-                        let _timer = pmr_obs::timer("kernel.score");
-                        retrieve_and_rescore(
-                            &index,
-                            &kernel,
-                            &user_model,
-                            &pool,
-                            &keys,
-                            Budget::Full,
-                        )
-                    }
+                let scores: Vec<f64> = {
+                    let _timer = pmr_obs::timer("kernel.score");
+                    test.iter()
+                        .map(|&id| kernel.score(&vectorizer.transform(table.doc(id))))
+                        .collect()
                 };
                 (scores, train_time, t1.elapsed())
             })
@@ -194,45 +160,15 @@ pub fn score_configuration(
                     let g = space.graph_from_grams(&table.doc_terms(id), *n);
                     user_model.merge(&g);
                 }
-                // WAND-mode overlap gate: a test document sharing no gram
-                // with the train union shares no graph edge either, so its
-                // comparison is exactly 0.0 and can be skipped. The
-                // document graph is still built so the shared space's
-                // interning sequence — and every later comparison's bits —
-                // matches the exhaustive path.
-                let gate: Option<Vec<pmr_text::vocab::TermId>> = match opts.retrieval {
-                    RetrievalMode::Exhaustive => None,
-                    RetrievalMode::Wand => {
-                        let mut ids: Vec<pmr_text::vocab::TermId> =
-                            train.iter().flat_map(|&id| table.doc(id).iter().copied()).collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        Some(ids)
-                    }
-                };
                 let train_time = t0.elapsed();
                 let t1 = Instant::now();
-                let mut pruned = 0u64;
                 let scores: Vec<f64> = test
                     .iter()
                     .map(|&id| {
-                        let matched = match &gate {
-                            None => true,
-                            Some(g) => table.doc(id).iter().any(|t| g.binary_search(t).is_ok()),
-                        };
                         let g = space.graph_from_grams(&table.doc_terms(id), *n);
-                        if matched {
-                            similarity.compare(&user_model, &g)
-                        } else {
-                            pruned += 1;
-                            0.0
-                        }
+                        similarity.compare(&user_model, &g)
                     })
                     .collect();
-                if gate.is_some() {
-                    pmr_obs::counter_add("retrieval.candidates", test.len() as u64 - pruned);
-                    pmr_obs::counter_add("retrieval.pruned", pruned);
-                }
                 (scores, train_time, t1.elapsed())
             })
         }
@@ -574,12 +510,7 @@ mod tests {
 
     #[test]
     fn scoring_options_scale_floors_at_five() {
-        let opts = ScoringOptions {
-            iteration_scale: 0.001,
-            infer_iterations: 5,
-            seed: 1,
-            ..ScoringOptions::default()
-        };
+        let opts = ScoringOptions { iteration_scale: 0.001, infer_iterations: 5, seed: 1 };
         assert_eq!(opts.scale(1_000), 5);
         let opts = ScoringOptions::paper();
         assert_eq!(opts.scale(1_000), 1_000);

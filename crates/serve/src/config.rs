@@ -8,7 +8,6 @@
 //! snapshot taken on one shard layout restores onto any other.
 
 use pmr_bag::{BagSimilarity, WeightingScheme};
-use pmr_core::RetrievalMode;
 use pmr_graph::GraphSimilarity;
 use pmr_topics::OnlineTopicConfig;
 use serde::{Deserialize, Serialize};
@@ -139,79 +138,26 @@ pub struct EngineConfig {
     pub window: usize,
 }
 
-/// How shard message processing is scheduled onto OS threads. Mechanical:
-/// both schedulers drain every shard's FIFO in order, so they produce
-/// byte-identical recommendation logs (the determinism suite pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// One OS thread per shard behind a blocking FIFO. Simple, but thread
-    /// count is welded to shard count, so thousands of logical shards mean
-    /// thousands of threads. Kept as the measurable baseline.
-    Threaded,
-    /// `workers` OS threads multiplex all logical shards through per-shard
-    /// mailboxes and a shared run queue; an idle worker steals whichever
-    /// runnable shard is oldest. Shard count becomes a pure partitioning
-    /// knob, decoupled from thread count.
-    WorkSteal,
-}
-
-impl Scheduler {
-    /// Parse a CLI name (`threaded` / `worksteal`).
-    pub fn parse(s: &str) -> Option<Scheduler> {
-        match s {
-            "threaded" => Some(Scheduler::Threaded),
-            "worksteal" | "work-steal" | "ws" => Some(Scheduler::WorkSteal),
-            _ => None,
-        }
-    }
-
-    /// Short human-readable name for logs and benchmark reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheduler::Threaded => "threaded",
-            Scheduler::WorkSteal => "worksteal",
-        }
-    }
-}
-
 /// Mechanical sizing knobs. Changing these must never change a
 /// recommendation — that invariant is the subsystem's core contract and is
 /// what the `serve-smoke` CI job byte-diffs for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Number of *logical* shards; users are partitioned `user_id % shards`.
-    /// Under [`Scheduler::WorkSteal`] this is independent of thread count,
-    /// so it can comfortably be in the thousands.
+    /// Independent of thread count, so it can comfortably be in the
+    /// thousands.
     pub shards: usize,
-    /// OS worker threads under [`Scheduler::WorkSteal`] (ignored by
-    /// [`Scheduler::Threaded`], which always runs one thread per shard).
+    /// OS worker threads that multiplex the logical shards.
     pub workers: usize,
     /// Bounded per-shard ingest queue capacity. When a queue fills, the
     /// ingest thread blocks (after bumping the `serve.backpressure`
     /// counter) rather than buffering unboundedly.
     pub queue_capacity: usize,
-    /// Candidate retrieval at query time. `Wand` maintains an incremental
-    /// window index per user and scores only candidates sharing at least
-    /// one feature with the model; everything else provably scores exactly
-    /// `0.0` and is zero-filled without a kernel call. Mechanical rather
-    /// than semantic: both modes emit byte-identical recommendations (the
-    /// determinism suite pins this), so the knob lives here and stays out
-    /// of snapshots.
-    pub retrieval: RetrievalMode,
-    /// How shards are scheduled onto OS threads. Mechanical: both
-    /// schedulers must emit byte-identical recommendations.
-    pub scheduler: Scheduler,
 }
 
 impl Default for RuntimeOptions {
     fn default() -> Self {
-        RuntimeOptions {
-            shards: 64,
-            workers: 4,
-            queue_capacity: 1024,
-            retrieval: RetrievalMode::Wand,
-            scheduler: Scheduler::WorkSteal,
-        }
+        RuntimeOptions { shards: 64, workers: 4, queue_capacity: 1024 }
     }
 }
 
@@ -222,7 +168,6 @@ impl RuntimeOptions {
             shards: self.shards.max(1),
             workers: self.workers.max(1),
             queue_capacity: self.queue_capacity.max(1),
-            ..self
         }
     }
 }
@@ -300,25 +245,9 @@ mod tests {
 
     #[test]
     fn runtime_options_normalize_degenerate_sizes() {
-        let r = RuntimeOptions {
-            shards: 0,
-            workers: 0,
-            queue_capacity: 0,
-            ..RuntimeOptions::default()
-        }
-        .normalized();
+        let r = RuntimeOptions { shards: 0, workers: 0, queue_capacity: 0 }.normalized();
         assert_eq!(r.shards, 1);
         assert_eq!(r.workers, 1);
         assert_eq!(r.queue_capacity, 1);
-        assert_eq!(r.retrieval, RetrievalMode::Wand, "normalization keeps the retrieval mode");
-    }
-
-    #[test]
-    fn scheduler_names_round_trip() {
-        for s in [Scheduler::Threaded, Scheduler::WorkSteal] {
-            assert_eq!(Scheduler::parse(s.name()), Some(s));
-        }
-        assert_eq!(Scheduler::parse("ws"), Some(Scheduler::WorkSteal));
-        assert_eq!(Scheduler::parse("fibers"), None);
     }
 }

@@ -44,7 +44,7 @@
 
 use std::sync::Arc;
 
-use pmr_bag::{SparseVector, WeightingScheme};
+use pmr_bag::{weigh_runs, SparseVector, WeightingScheme};
 use pmr_core::executor::run_tasks;
 use pmr_core::{PmrError, PmrResult};
 use pmr_sim::scale::IngestRecord;
@@ -118,8 +118,8 @@ fn extract_grams(model: ServeModel, text: &str) -> Vec<String> {
 /// Dimensions are interned in first-seen stream order over *original*
 /// tweets — the same first-seen order [`pmr_bag::IndexedVectorizer::fit`]
 /// walks over the materialized corpus, because original tweet ids are
-/// allocated in stream order. Counting mirrors `IndexedVectorizer`'s
-/// sort-and-run-length transform exactly, so every emitted vector is
+/// allocated in stream order. Counting is the same [`weigh_runs`]
+/// `IndexedVectorizer::transform` uses, so every emitted vector is
 /// bit-identical to the replay path's (the equivalence test pins this).
 /// Retweets transform *without* growing the vocabulary: their grams come
 /// from the carried origin text, whose original has already been interned.
@@ -147,31 +147,11 @@ impl StreamBagVectorizer {
         self.weigh(ids, grams.len())
     }
 
-    /// The sort + run-length counting of `IndexedVectorizer::transform`,
-    /// kept structurally identical so the f32 weights match bitwise.
-    fn weigh(&self, mut ids: Vec<TermId>, n_d: usize) -> SparseVector {
-        if n_d == 0 {
-            return SparseVector::new();
-        }
-        ids.sort_unstable();
-        let mut pairs: Vec<(TermId, f32)> = Vec::with_capacity(ids.len());
-        let mut i = 0;
-        while i < ids.len() {
-            let id = ids[i];
-            let mut f = 0u32;
-            while i < ids.len() && ids[i] == id {
-                f += 1;
-                i += 1;
-            }
-            let w = match self.weighting {
-                WeightingScheme::BF => 1.0,
-                WeightingScheme::TF => f as f32 / n_d as f32,
-                // Rejected before ingest starts; unreachable.
-                WeightingScheme::TFIDF => 0.0,
-            };
-            pairs.push((id, w));
-        }
-        SparseVector::from_pairs(pairs)
+    /// Weigh by [`weigh_runs`], the counting `IndexedVectorizer::transform`
+    /// uses, so the f32 weights match bitwise. TF-IDF is rejected before
+    /// ingest starts, so the IDF discount is never read.
+    fn weigh(&self, ids: Vec<TermId>, n_d: usize) -> SparseVector {
+        weigh_runs(self.weighting, ids, n_d, |_| 0.0)
     }
 }
 

@@ -24,8 +24,8 @@
 //!                  └───┬───┘ └───┬───┘ └───┬───┘
 //!                      └─────────┼─────────┘
 //!              run queue ─▶ ┌────┴────┐ ◀─ N worker threads
-//!              (steal any   │scheduler│    (or one thread per
-//!               runnable    └────┬────┘     shard: `Threaded`)
+//!              (steal any   │scheduler│
+//!               runnable    └────┬────┘
 //!               shard)           │
 //!                                ▼ replies (re-sequenced by query id)
 //!                      recommendations / snapshots
@@ -35,9 +35,9 @@
 //!
 //! The engine's output — the recommendation log and any snapshot — is a
 //! pure function of the event stream and the [`EngineConfig`]. Logical
-//! shard count, worker thread count, scheduler, queue capacity and
-//! feature-precompute thread count are *mechanical* knobs that must never
-//! change a byte of output:
+//! shard count, worker thread count, queue capacity and feature-precompute
+//! thread count are *mechanical* knobs that must never change a byte of
+//! output:
 //!
 //! * each user's state lives in exactly one shard and receives its
 //!   messages through one FIFO in global stream order, and a shard is
@@ -47,7 +47,11 @@
 //!   anything user-visible sees them;
 //! * there is no wall-clock anywhere in the serving path — time is the
 //!   stream's own timestamps, and observability timers run on `pmr-obs`'s
-//!   injected clock.
+//!   injected clock;
+//! * bag and graph queries score only the candidates their per-window
+//!   postings ([`pmr_core::WindowPostings`]) match against the model; a
+//!   candidate sharing no feature with the model scores exactly `0.0`
+//!   under every similarity, so zero-filling it is exact, not a heuristic.
 //!
 //! CI's `serve-smoke` job replays a seeded stream under 1 vs 4 shards and
 //! 1 vs 4 jobs and byte-diffs the logs; the same checks run in-repo as
@@ -64,7 +68,7 @@ mod runtime;
 pub mod shard;
 pub mod snapshot;
 
-pub use config::{EngineConfig, RuntimeOptions, Scheduler, ServeModel};
+pub use config::{EngineConfig, RuntimeOptions, ServeModel};
 pub use engine::Engine;
 pub use ingest::{ingest_stream, IngestOptions, IngestOutcome};
 pub use replay::{precompute_features, rec_log, Replay, ReplayOptions, ReplayOutcome};

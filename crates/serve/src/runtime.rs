@@ -8,26 +8,20 @@
 //!
 //! Everything else — how many threads exist, which thread runs which
 //! shard, when a shard yields — is mechanical and must never change a byte
-//! of output. This module provides two interchangeable schedulers behind
-//! [`ShardRuntime`]:
+//! of output.
 //!
-//! * [`Scheduler::Threaded`] — the original engine: one OS thread per
-//!   shard, parked on a bounded blocking FIFO. Thread count is welded to
-//!   shard count, so it cannot scale the shard count past the core count
-//!   without thrashing. Kept as the measurable baseline (`bench_load`
-//!   publishes the head-to-head numbers).
-//!
-//! * [`Scheduler::WorkSteal`] — an actor-style work-stealing runtime:
-//!   every logical shard owns a mailbox (`Mutex<VecDeque> + Condvar`), and
-//!   `workers` OS threads pull *runnable shards* from a shared injector
-//!   queue. A shard becomes runnable when its mailbox goes non-empty; the
-//!   `scheduled` flag guarantees at most one run token per shard exists,
-//!   which is exactly invariant (2). A worker drains a shard in batches
-//!   and re-queues it after [`MAX_TURNS`] batches (a cooperative yield, so
-//!   a celebrity-storm shard cannot starve its siblings), or parks on the
-//!   injector when nothing is runnable. Whichever worker dequeues the
-//!   token runs the shard — that is the "steal": shards migrate freely
-//!   between workers, counted by `serve.runtime.steals`.
+//! [`ShardRuntime`] is an actor-style work-stealing runtime: every logical
+//! shard owns a mailbox (`Mutex<VecDeque> + Condvar`), and `workers` OS
+//! threads pull *runnable shards* from a shared injector queue. A shard
+//! becomes runnable when its mailbox goes non-empty; the `scheduled` flag
+//! guarantees at most one run token per shard exists, which is exactly
+//! invariant (2). A worker drains a shard in batches and re-queues it
+//! after [`MAX_TURNS`] batches (a cooperative yield, so a celebrity-storm
+//! shard cannot starve its siblings), or parks on the injector when
+//! nothing is runnable. Whichever worker dequeues the token runs the shard
+//! — that is the "steal": shards migrate freely between workers, counted
+//! by `serve.runtime.steals`. Shard count is therefore a pure partitioning
+//! knob, decoupled from thread count.
 //!
 //! Cooperative blocking in the mailbox path is intentional and bounded:
 //! the single producer parks on a full mailbox's condvar (after bumping
@@ -46,10 +40,10 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use pmr_sim::UserId;
 
-use crate::config::{EngineConfig, RuntimeOptions, Scheduler};
+use crate::config::{EngineConfig, RuntimeOptions};
 use crate::shard::{panic_detail, ShardMsg, ShardReply, ShardState, UserState};
 
 /// Messages a work-steal worker pulls from the shared injector queue.
@@ -106,177 +100,6 @@ fn note_backpressure(shard: usize) {
     pmr_obs::counter_add(SHARD_BUCKETS[shard_bucket(shard)], 1);
 }
 
-/// A running scheduler: accepts posted messages and owns the threads that
-/// apply them. Replies flow out through the unbounded channel the engine
-/// passed at start.
-pub(crate) enum ShardRuntime {
-    Threaded(ThreadedRuntime),
-    WorkSteal(WorkStealRuntime),
-}
-
-impl ShardRuntime {
-    /// Spawn the scheduler `options` selects over the given per-shard user
-    /// partitions (`partitions.len()` is the logical shard count).
-    pub(crate) fn start(
-        config: EngineConfig,
-        options: RuntimeOptions,
-        partitions: Vec<BTreeMap<UserId, UserState>>,
-        reply_tx: &Sender<ShardReply>,
-    ) -> ShardRuntime {
-        match options.scheduler {
-            Scheduler::Threaded => ShardRuntime::Threaded(ThreadedRuntime::start(
-                config, options, partitions, reply_tx,
-            )),
-            Scheduler::WorkSteal => ShardRuntime::WorkSteal(WorkStealRuntime::start(
-                config, options, partitions, reply_tx,
-            )),
-        }
-    }
-
-    /// Logical shard count.
-    pub(crate) fn shards(&self) -> usize {
-        match self {
-            ShardRuntime::Threaded(rt) => rt.senders.len(),
-            ShardRuntime::WorkSteal(rt) => rt.shared.cells.len(),
-        }
-    }
-
-    /// Deliver `msg` to `shard`'s FIFO, blocking (with a backpressure
-    /// count) while the queue is full. `Err` means the shard can no longer
-    /// accept messages — a worker died or the runtime was shut down.
-    pub(crate) fn post(&mut self, shard: usize, msg: ShardMsg) -> Result<(), ()> {
-        match self {
-            ShardRuntime::Threaded(rt) => rt.post(shard, msg),
-            ShardRuntime::WorkSteal(rt) => rt.post(shard, msg),
-        }
-    }
-
-    /// Drain every shard, stop every worker thread and join them.
-    /// Idempotent, and deliberately panic-free even when a worker
-    /// panicked — the engine's drop path must be able to call this during
-    /// unwinding. The panic is recorded instead ([`ShardRuntime::panicked`]).
-    pub(crate) fn shutdown(&mut self) {
-        match self {
-            ShardRuntime::Threaded(rt) => rt.shutdown(),
-            ShardRuntime::WorkSteal(rt) => rt.shutdown(),
-        }
-    }
-
-    /// Whether any worker thread panicked (observable after [`shutdown`]).
-    ///
-    /// [`shutdown`]: ShardRuntime::shutdown
-    pub(crate) fn panicked(&self) -> bool {
-        match self {
-            ShardRuntime::Threaded(rt) => rt.panicked,
-            ShardRuntime::WorkSteal(rt) => rt.panicked,
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardRuntime::Threaded(rt) => f
-                .debug_struct("ThreadedRuntime")
-                .field("shards", &rt.senders.len())
-                .finish_non_exhaustive(),
-            ShardRuntime::WorkSteal(rt) => f
-                .debug_struct("WorkStealRuntime")
-                .field("shards", &rt.shared.cells.len())
-                .field("workers", &rt.workers)
-                .finish_non_exhaustive(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Threaded: one OS thread per shard behind a bounded blocking FIFO.
-// ---------------------------------------------------------------------------
-
-pub(crate) struct ThreadedRuntime {
-    senders: Vec<Sender<ShardMsg>>,
-    handles: Vec<JoinHandle<()>>,
-    panicked: bool,
-}
-
-impl ThreadedRuntime {
-    fn start(
-        config: EngineConfig,
-        options: RuntimeOptions,
-        partitions: Vec<BTreeMap<UserId, UserState>>,
-        reply_tx: &Sender<ShardReply>,
-    ) -> ThreadedRuntime {
-        let mut senders = Vec::with_capacity(partitions.len());
-        let mut handles = Vec::with_capacity(partitions.len());
-        for (shard, users) in partitions.into_iter().enumerate() {
-            let (tx, rx) = channel::bounded(options.queue_capacity);
-            let state = ShardState::new(shard, config, options.retrieval, users);
-            let reply = reply_tx.clone();
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || threaded_worker(shard, state, rx, reply)));
-        }
-        ThreadedRuntime { senders, handles, panicked: false }
-    }
-
-    fn post(&mut self, shard: usize, msg: ShardMsg) -> Result<(), ()> {
-        let msg = match self.senders[shard].try_send(msg) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Full(m)) => {
-                note_backpressure(shard);
-                m
-            }
-            Err(TrySendError::Disconnected(m)) => m,
-        };
-        self.senders[shard].send(msg).map_err(|_| ())
-    }
-
-    fn shutdown(&mut self) {
-        // Dropping the senders disconnects every FIFO; each worker drains
-        // what is already queued, then its `recv` errors and it exits.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            if handle.join().is_err() {
-                self.panicked = true;
-            }
-        }
-    }
-}
-
-/// One shard thread: applies the FIFO under a panic guard. A panic
-/// anywhere in message handling sends [`ShardReply::Aborted`] before the
-/// thread dies, so the engine's snapshot barrier fails fast instead of
-/// waiting forever for a reply from a dead shard while its siblings keep
-/// the reply channel open. The panic is re-raised afterwards so the
-/// shutdown join still observes it.
-fn threaded_worker(
-    shard: usize,
-    state: ShardState,
-    rx: Receiver<ShardMsg>,
-    reply: Sender<ShardReply>,
-) {
-    let reply_guard = reply.clone();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut state = state;
-        let mut replies = Vec::new();
-        while let Ok(msg) = rx.recv() {
-            state.apply(msg, &mut replies);
-            for r in replies.drain(..) {
-                let _ = reply.send(r);
-            }
-        }
-    }));
-    if let Err(payload) = result {
-        let detail = panic_detail(payload.as_ref());
-        let _ = reply_guard.send(ShardReply::Aborted { shard, detail });
-        drop(reply_guard);
-        std::panic::resume_unwind(payload);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WorkSteal: per-shard mailboxes multiplexed over N worker threads.
-// ---------------------------------------------------------------------------
-
 /// One logical shard's mailbox. Invariant: `queue` non-empty ⇒ `scheduled`
 /// — every message posted into an unscheduled mailbox enqueues exactly one
 /// run token, and only the worker that empties the queue clears the flag,
@@ -302,7 +125,7 @@ struct ShardCell {
     state: Mutex<ShardState>,
 }
 
-struct WsShared {
+struct Shared {
     cells: Vec<ShardCell>,
     capacity: usize,
     /// Set by a panicking worker before it dies; every cooperative wait
@@ -311,21 +134,26 @@ struct WsShared {
     aborted: AtomicBool,
 }
 
-pub(crate) struct WorkStealRuntime {
-    shared: Arc<WsShared>,
+/// A running scheduler: accepts posted messages and owns the worker
+/// threads that apply them. Replies flow out through the unbounded channel
+/// the engine passed at start.
+pub(crate) struct ShardRuntime {
+    shared: Arc<Shared>,
     injector_tx: Sender<Task>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
     panicked: bool,
 }
 
-impl WorkStealRuntime {
-    fn start(
+impl ShardRuntime {
+    /// Spawn `options.workers` worker threads over the given per-shard user
+    /// partitions (`partitions.len()` is the logical shard count).
+    pub(crate) fn start(
         config: EngineConfig,
         options: RuntimeOptions,
         partitions: Vec<BTreeMap<UserId, UserState>>,
         reply_tx: &Sender<ShardReply>,
-    ) -> WorkStealRuntime {
+    ) -> ShardRuntime {
         let cells: Vec<ShardCell> = partitions
             .into_iter()
             .enumerate()
@@ -336,10 +164,10 @@ impl WorkStealRuntime {
                     last_worker: usize::MAX,
                 }),
                 vacant: Condvar::new(),
-                state: Mutex::new(ShardState::new(shard, config, options.retrieval, users)),
+                state: Mutex::new(ShardState::new(shard, config, users)),
             })
             .collect();
-        let shared = Arc::new(WsShared {
+        let shared = Arc::new(Shared {
             cells,
             capacity: options.queue_capacity,
             aborted: AtomicBool::new(false),
@@ -351,13 +179,21 @@ impl WorkStealRuntime {
                 let tasks = injector_rx.clone();
                 let injector = injector_tx.clone();
                 let reply = reply_tx.clone();
-                std::thread::spawn(move || ws_worker(worker, &shared, &tasks, &injector, &reply))
+                std::thread::spawn(move || worker_loop(worker, &shared, &tasks, &injector, &reply))
             })
             .collect();
-        WorkStealRuntime { shared, injector_tx, handles, workers: options.workers, panicked: false }
+        ShardRuntime { shared, injector_tx, handles, workers: options.workers, panicked: false }
     }
 
-    fn post(&mut self, shard: usize, msg: ShardMsg) -> Result<(), ()> {
+    /// Logical shard count.
+    pub(crate) fn shards(&self) -> usize {
+        self.shared.cells.len()
+    }
+
+    /// Deliver `msg` to `shard`'s mailbox, blocking (with a backpressure
+    /// count) while the mailbox is full. `Err` means the shard can no
+    /// longer accept messages — a worker died or the runtime was shut down.
+    pub(crate) fn post(&mut self, shard: usize, msg: ShardMsg) -> Result<(), ()> {
         if self.handles.is_empty() {
             return Err(()); // already shut down
         }
@@ -390,7 +226,11 @@ impl WorkStealRuntime {
         Ok(())
     }
 
-    fn shutdown(&mut self) {
+    /// Drain every shard, stop every worker thread and join them.
+    /// Idempotent, and deliberately panic-free even when a worker
+    /// panicked — the engine's drop path must be able to call this during
+    /// unwinding. The panic is recorded instead ([`ShardRuntime::panicked`]).
+    pub(crate) fn shutdown(&mut self) {
         if self.handles.is_empty() {
             return;
         }
@@ -417,15 +257,33 @@ impl WorkStealRuntime {
             }
         }
     }
+
+    /// Whether any worker thread panicked (observable after [`shutdown`]).
+    ///
+    /// [`shutdown`]: ShardRuntime::shutdown
+    pub(crate) fn panicked(&self) -> bool {
+        self.panicked
+    }
 }
 
-/// One work-steal worker: pull run tokens off the injector, drain the
-/// named shard, park when nothing is runnable. The per-token panic guard
-/// mirrors [`threaded_worker`]'s: record the abort, wake every waiter,
-/// send [`ShardReply::Aborted`], re-raise.
-fn ws_worker(
+impl std::fmt::Debug for ShardRuntime {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardRuntime")
+            .field("shards", &self.shared.cells.len())
+            .field("workers", &self.workers)
+            .finish_non_exhaustive()
+    }
+}
+
+/// One worker: pull run tokens off the injector, drain the
+/// named shard, park when nothing is runnable. A panic while running a
+/// shard records the abort, wakes every waiter and sends
+/// [`ShardReply::Aborted`] before it is re-raised, so the engine's
+/// snapshot barrier fails fast instead of waiting forever for a reply
+/// from a dead shard.
+fn worker_loop(
     worker: usize,
-    shared: &WsShared,
+    shared: &Shared,
     tasks: &Receiver<Task>,
     injector: &Sender<Task>,
     reply: &Sender<ShardReply>,
@@ -451,7 +309,7 @@ fn ws_worker(
         }));
         if let Err(payload) = turn {
             let detail = panic_detail(payload.as_ref());
-            record_ws_abort(shared, reply, shard, detail);
+            record_abort(shared, reply, shard, detail);
             std::panic::resume_unwind(payload);
         }
     }
@@ -464,7 +322,7 @@ fn ws_worker(
 fn run_shard(
     worker: usize,
     shard: usize,
-    shared: &WsShared,
+    shared: &Shared,
     injector: &Sender<Task>,
     reply: &Sender<ShardReply>,
 ) {
@@ -520,7 +378,7 @@ fn run_shard(
 /// A worker is dying: set the abort flag, tell the engine, and wake every
 /// cooperative waiter so nothing stays parked on a shard whose run token
 /// just died.
-fn record_ws_abort(shared: &WsShared, reply: &Sender<ShardReply>, shard: usize, detail: String) {
+fn record_abort(shared: &Shared, reply: &Sender<ShardReply>, shard: usize, detail: String) {
     shared.aborted.store(true, Ordering::Release);
     let _ = reply.send(ShardReply::Aborted { shard, detail });
     for cell in &shared.cells {

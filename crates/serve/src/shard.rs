@@ -2,9 +2,7 @@
 //!
 //! Every user's model and candidate window live in exactly one logical
 //! shard (`user_id % shards`), and the single ingest thread sends a user's
-//! messages through that shard's FIFO (a blocking channel under
-//! [`crate::config::Scheduler::Threaded`], a mailbox under
-//! [`crate::config::Scheduler::WorkSteal`]) in global stream order. A
+//! messages through that shard's FIFO mailbox in global stream order. A
 //! user's state therefore evolves through the same sequence of updates no
 //! matter how many shards or threads exist — the mechanical layout only
 //! changes *which thread* applies the sequence, never the sequence itself.
@@ -17,7 +15,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use pmr_bag::{ScoringKernel, SparseVector};
-use pmr_core::{rank_cmp, OnlineGraphModel, OnlineProfile, RetrievalMode, WindowPostings};
+use pmr_core::{rank_cmp, OnlineGraphModel, OnlineProfile, WindowPostings};
 use pmr_sim::{Timestamp, TweetId, UserId};
 use pmr_text::vocab::TermId;
 use pmr_topics::{TopicBackground, TopicDoc, TopicProfile};
@@ -127,9 +125,9 @@ struct WindowEntry {
 /// Incremental retrieval index over one user's candidate window, keyed by
 /// the model family's feature space: bag vectors post under their term
 /// ids, graph gram lists under their gram surface forms. Maintained on
-/// every window insert/evict so queries under [`RetrievalMode::Wand`] can
-/// zero-fill candidates that share no feature with the model — exactly the
-/// candidates every similarity maps to `0.0`.
+/// every window insert/evict so queries can zero-fill candidates that
+/// share no feature with the model — exactly the candidates every
+/// similarity maps to `0.0`.
 #[derive(Debug)]
 enum WindowIndex {
     Bag(WindowPostings<TermId>),
@@ -152,8 +150,8 @@ impl WindowIndex {
     }
 
     /// Post a window entry's features under its tweet id. A features/model
-    /// family mismatch posts nothing; the query path scores such entries
-    /// exhaustively, so skipping them here stays exact.
+    /// family mismatch posts nothing; the query path skips such entries
+    /// too, so the postings stay exact.
     fn insert(&mut self, tweet: TweetId, features: &TweetFeatures) {
         match (self, features) {
             (WindowIndex::Bag(postings), TweetFeatures::Bag(v)) => {
@@ -263,9 +261,6 @@ const THETA_CACHE_CAP: usize = 8192;
 pub(crate) struct ShardState {
     shard: usize,
     config: EngineConfig,
-    /// Mechanical retrieval mode (from [`crate::config::RuntimeOptions`]):
-    /// both settings produce byte-identical recommendations.
-    retrieval: RetrievalMode,
     users: BTreeMap<UserId, UserState>,
     /// The topic family's shared background model, swapped by
     /// [`ShardMsg::Epoch`]. `None` for the gram families (and before the
@@ -281,10 +276,9 @@ impl ShardState {
     pub(crate) fn new(
         shard: usize,
         config: EngineConfig,
-        retrieval: RetrievalMode,
         users: BTreeMap<UserId, UserState>,
     ) -> ShardState {
-        ShardState { shard, config, retrieval, users, background: None, thetas: BTreeMap::new() }
+        ShardState { shard, config, users, background: None, thetas: BTreeMap::new() }
     }
 
     /// Apply one message, pushing any replies. This is the *entire*
@@ -403,92 +397,65 @@ impl ShardState {
         let mut items: Vec<RecItem> = Vec::new();
         let mut scored = 0u64;
         let mut pruned = 0u64;
-        let similarity = match self.config.model {
-            ServeModel::Bag { similarity, .. } => Some(similarity),
-            ServeModel::Graph { .. } | ServeModel::Topic { .. } => None,
-        };
-        let retrieval = self.retrieval;
         if let Some(state) = self.users.get_mut(&user) {
             let UserState { model, window, index } = state;
-            match model {
-                UserModel::Bag(profile) => {
-                    // One kernel per query amortizes the model-side
-                    // normalization over the whole window.
-                    if let Some(similarity) = similarity {
+            match (model, &*index) {
+                (UserModel::Bag(profile), WindowIndex::Bag(postings)) => {
+                    if let ServeModel::Bag { similarity, .. } = self.config.model {
+                        // One kernel per query amortizes the model-side
+                        // normalization over the whole window. Candidates
+                        // sharing no term with the model are zero-filled
+                        // without a kernel call: every bag similarity maps
+                        // empty overlap to exactly 0.0, so the scores are
+                        // byte-identical to scoring every candidate.
                         let kernel = ScoringKernel::new(similarity, profile.vector());
-                        // Under Wand, candidates sharing no term with the
-                        // model are zero-filled without a kernel call:
-                        // every bag similarity maps empty overlap to
-                        // exactly 0.0, so the scores are byte-identical.
-                        let matched: Option<Vec<u32>> = match (retrieval, &*index) {
-                            (RetrievalMode::Wand, WindowIndex::Bag(postings)) => {
-                                let keys: Vec<TermId> =
-                                    profile.vector().entries().iter().map(|&(t, _)| t).collect();
-                                Some(postings.matched(keys.iter()))
-                            }
-                            _ => None,
-                        };
+                        let keys: Vec<TermId> =
+                            profile.vector().entries().iter().map(|&(t, _)| t).collect();
+                        let matched = postings.matched(keys.iter());
                         for e in window.iter().filter(|e| e.at <= now) {
                             if let TweetFeatures::Bag(v) = e.features.as_ref() {
-                                let gated_out = matched
-                                    .as_ref()
-                                    .is_some_and(|m| m.binary_search(&e.tweet.0).is_err());
-                                let score = if gated_out {
-                                    pruned += 1;
-                                    0.0
-                                } else {
+                                let score = if matched.binary_search(&e.tweet.0).is_ok() {
                                     scored += 1;
                                     kernel.score(v)
+                                } else {
+                                    pruned += 1;
+                                    0.0
                                 };
                                 items.push(RecItem { tweet: e.tweet.0, score });
                             }
                         }
                     }
                 }
-                UserModel::Graph(graph) => {
+                (UserModel::Graph(graph), WindowIndex::Graph(postings)) => {
                     // A shared edge requires a shared node gram, so gating
                     // on gram overlap never drops a candidate that could
                     // score non-zero. Gated-out candidates still intern
                     // their grams (`intern_only`) so the graph space
-                    // assigns ids in the same order as the exhaustive
-                    // path — later scores depend on that order.
-                    let matched: Option<Vec<u32>> = match (retrieval, &*index) {
-                        (RetrievalMode::Wand, WindowIndex::Graph(postings)) => {
-                            let keys = graph.node_terms();
-                            Some(postings.matched(keys.iter()))
-                        }
-                        _ => None,
-                    };
+                    // assigns ids in the same order as scoring every
+                    // candidate would — later scores depend on that order.
+                    let keys = graph.node_terms();
+                    let matched = postings.matched(keys.iter());
                     for e in window.iter().filter(|e| e.at <= now) {
                         if let TweetFeatures::Graph(grams) = e.features.as_ref() {
-                            let gated_out = matched
-                                .as_ref()
-                                .is_some_and(|m| m.binary_search(&e.tweet.0).is_err());
-                            let score = if gated_out {
-                                pruned += 1;
-                                graph.intern_only(grams)
-                            } else {
+                            let score = if matched.binary_search(&e.tweet.0).is_ok() {
                                 scored += 1;
                                 graph.score(grams)
+                            } else {
+                                pruned += 1;
+                                graph.intern_only(grams)
                             };
                             items.push(RecItem { tweet: e.tweet.0, score });
                         }
                     }
                 }
-                // Unreachable: topic queries dispatched to `query_topic`.
-                UserModel::Topic(_) => {}
+                // Unreachable: topic queries dispatch to `query_topic`, and
+                // a user's index is always built for its own model family.
+                _ => {}
             }
         }
-        if retrieval == RetrievalMode::Wand {
-            pmr_obs::counter_add("retrieval.candidates", scored);
-            pmr_obs::counter_add("retrieval.pruned", pruned);
-        }
-        // Deterministic total order: the repo-wide top-k contract
-        // ([`pmr_core::rank_cmp`]) — best score first, ties broken by
-        // ascending tweet id, total even for NaN.
-        items.sort_by(|a, b| rank_cmp(a.score, &a.tweet, b.score, &b.tweet));
-        items.truncate(k);
-        Recommendation { query: id, user: user.0, now, items }
+        pmr_obs::counter_add("retrieval.candidates", scored);
+        pmr_obs::counter_add("retrieval.pruned", pruned);
+        rank(id, user, now, items, k)
     }
 
     /// The topic query path: always exhaustive over the eligible window
@@ -527,10 +494,23 @@ impl ShardState {
                 }
             }
         }
-        items.sort_by(|a, b| rank_cmp(a.score, &a.tweet, b.score, &b.tweet));
-        items.truncate(k);
-        Recommendation { query: id, user: user.0, now, items }
+        rank(id, user, now, items, k)
     }
+}
+
+/// Keep the top `k` of `items` under the repo-wide top-k contract
+/// ([`pmr_core::rank_cmp`]): best score first, ties broken by ascending
+/// tweet id, total even for NaN.
+fn rank(
+    id: u64,
+    user: UserId,
+    now: Timestamp,
+    mut items: Vec<RecItem>,
+    k: usize,
+) -> Recommendation {
+    items.sort_by(|a, b| rank_cmp(a.score, &a.tweet, b.score, &b.tweet));
+    items.truncate(k);
+    Recommendation { query: id, user: user.0, now, items }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -551,5 +531,182 @@ impl std::fmt::Debug for ShardState {
             .field("config", &self.config)
             .field("users", &self.users.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl ShardState {
+    /// The ungated reference for [`ShardState::query`]: score every
+    /// eligible candidate of a bag or graph user, ignoring the window
+    /// postings. The gate is exact only if the two always agree bit for
+    /// bit.
+    fn query_ungated(&mut self, id: u64, user: UserId, k: usize, now: Timestamp) -> Recommendation {
+        let mut items: Vec<RecItem> = Vec::new();
+        if let Some(state) = self.users.get_mut(&user) {
+            for e in state.window.iter().filter(|e| e.at <= now) {
+                let score = match (&mut state.model, e.features.as_ref(), self.config.model) {
+                    (
+                        UserModel::Bag(profile),
+                        TweetFeatures::Bag(v),
+                        ServeModel::Bag { similarity, .. },
+                    ) => ScoringKernel::new(similarity, profile.vector()).score(v),
+                    (UserModel::Graph(graph), TweetFeatures::Graph(grams), _) => graph.score(grams),
+                    _ => continue,
+                };
+                items.push(RecItem { tweet: e.tweet.0, score });
+            }
+        }
+        rank(id, user, now, items, k)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmr_bag::{BagSimilarity, WeightingScheme};
+    use pmr_graph::GraphSimilarity;
+
+    /// Two vocabularies: the users observe only `COMMON` words until
+    /// `LATE`, while candidates alternate between `COMMON` and `RARE`, so
+    /// every query window holds candidates sharing no feature with the
+    /// model. After `LATE` the users observe `RARE` words too, so a gated
+    /// candidate's grams later enter the model — which is where a graph
+    /// space interning in a different order would show.
+    const COMMON: [&str; 5] = ["cats", "purr", "nap", "milk", "yarn"];
+    const RARE: [&str; 4] = ["rust", "code", "borrow", "trait"];
+    const STEPS: u32 = 240;
+    const LATE: u32 = 160;
+
+    fn words(step: u32) -> Vec<&'static str> {
+        let vocab: &[&str] = if step % 3 == 1 { &RARE } else { &COMMON };
+        let len = vocab.len() as u32;
+        (0..2 + step % 3).map(|j| vocab[((step * 7 + j * 3) % len) as usize]).collect()
+    }
+
+    fn observed_words(step: u32) -> Vec<&'static str> {
+        if step >= LATE && step.is_multiple_of(2) {
+            words(step / 2 * 3 + 1)
+        } else {
+            words(step / 2 * 3)
+        }
+    }
+
+    fn term_id(word: &str) -> TermId {
+        COMMON.iter().chain(RARE.iter()).position(|w| *w == word).map_or(99, |i| i as TermId)
+    }
+
+    fn bag_features(words: &[&str]) -> Arc<TweetFeatures> {
+        let pairs = words.iter().map(|w| (term_id(w), 1.0)).collect();
+        Arc::new(TweetFeatures::Bag(SparseVector::from_pairs(pairs).normalized()))
+    }
+
+    fn graph_features(words: &[&str]) -> Arc<TweetFeatures> {
+        Arc::new(TweetFeatures::Graph(words.iter().map(|w| (*w).to_owned()).collect()))
+    }
+
+    /// Replay one stream through two identical shards, answering every
+    /// query through the gate on one and [`ShardState::query_ungated`] on
+    /// the other; items must match bit for bit, and so must the final
+    /// snapshots (for graph users that includes the space's interning
+    /// order).
+    fn assert_gate_is_exact(model: ServeModel, features: fn(&[&str]) -> Arc<TweetFeatures>) {
+        let config = EngineConfig { model, window: 6 };
+        let mut gated = ShardState::new(0, config, BTreeMap::new());
+        let mut ungated = ShardState::new(0, config, BTreeMap::new());
+        let mut replies = Vec::new();
+        // Test-side mirror of each user's observed words and window, to
+        // count queries whose window holds a zero-overlap candidate.
+        let mut observed: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
+        let mut windows: BTreeMap<u32, VecDeque<Vec<&str>>> = BTreeMap::new();
+        let mut zero_overlap_queries = 0;
+        for step in 0..STEPS {
+            let user = UserId(step % 3);
+            let observe = step.is_multiple_of(4);
+            let msgs = || {
+                let mut msgs = vec![ShardMsg::Candidate {
+                    user,
+                    tweet: TweetId(step),
+                    at: Timestamp::from(step),
+                    features: features(&words(step)),
+                }];
+                if observe {
+                    msgs.push(ShardMsg::Observe {
+                        user,
+                        features: features(&observed_words(step)),
+                    });
+                }
+                msgs
+            };
+            for msg in msgs() {
+                gated.apply(msg, &mut replies);
+            }
+            for msg in msgs() {
+                ungated.apply(msg, &mut replies);
+            }
+            let window = windows.entry(user.0).or_default();
+            window.push_back(words(step));
+            if window.len() > config.window {
+                window.pop_front();
+            }
+            let seen = observed.entry(user.0).or_default();
+            if observe {
+                seen.extend(observed_words(step));
+            }
+            if step % 5 == 4 {
+                let now = Timestamp::from(step);
+                gated.apply(ShardMsg::Query { id: step as u64, user, k: 4, now }, &mut replies);
+                let Some(ShardReply::Recommendation(got)) = replies.pop() else {
+                    panic!("a query must answer with a recommendation");
+                };
+                let want = ungated.query_ungated(step as u64, user, 4, now);
+                let bits = |r: &Recommendation| -> Vec<(u32, u64)> {
+                    r.items.iter().map(|i| (i.tweet, i.score.to_bits())).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{}: query {step} diverged", model.name());
+                if !seen.is_empty()
+                    && window.iter().any(|doc| doc.iter().all(|w| !seen.contains(w)))
+                {
+                    zero_overlap_queries += 1;
+                }
+            }
+        }
+        assert!(zero_overlap_queries > 0, "the stream must exercise zero-overlap candidates");
+        let snapshot = |state: &mut ShardState| {
+            let mut replies = Vec::new();
+            state.apply(ShardMsg::Snapshot, &mut replies);
+            let Some(ShardReply::SnapshotPart { users }) = replies.pop() else {
+                panic!("a snapshot must answer with its users");
+            };
+            serde_json::to_string(&users).expect("users serialize")
+        };
+        assert_eq!(snapshot(&mut gated), snapshot(&mut ungated), "{} state diverged", model.name());
+    }
+
+    #[test]
+    fn gated_bag_queries_match_the_ungated_reference() {
+        for similarity in
+            [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard]
+        {
+            let model = ServeModel::Bag {
+                weighting: WeightingScheme::TF,
+                similarity,
+                char_grams: false,
+                n: 1,
+                decay: 0.9,
+            };
+            assert_gate_is_exact(model, bag_features);
+        }
+    }
+
+    #[test]
+    fn gated_graph_queries_match_the_ungated_reference() {
+        for similarity in
+            [GraphSimilarity::Containment, GraphSimilarity::Value, GraphSimilarity::NormalizedValue]
+        {
+            for n in [1, 2] {
+                let model = ServeModel::Graph { similarity, char_grams: false, n };
+                assert_gate_is_exact(model, graph_features);
+            }
+        }
     }
 }

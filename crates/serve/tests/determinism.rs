@@ -1,17 +1,15 @@
 //! The serving engine's determinism contract, enforced in-repo (CI's
 //! `serve-smoke` job repeats the same checks across *processes*): shard
-//! count, queue capacity, feature-precompute thread count, and the
-//! retrieval mode must never change a byte of recommendation or snapshot
-//! output. [`RuntimeOptions::default`] enables the incremental window
-//! index (`RetrievalMode::Wand`), so every layout-invariance test below
-//! exercises the indexed path unless it says otherwise.
+//! count, worker count, queue capacity and feature-precompute thread count
+//! must never change a byte of recommendation or snapshot output. That
+//! the per-window posting gate matches scoring every candidate is pinned
+//! next to the gate, in `pmr_serve::shard`'s unit tests.
 
 use pmr_bag::{BagSimilarity, WeightingScheme};
-use pmr_core::{PreparedCorpus, RetrievalMode, SplitConfig};
+use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_graph::GraphSimilarity;
 use pmr_serve::{
-    rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, Scheduler,
-    ServeModel,
+    rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, ServeModel,
 };
 use pmr_sim::{generate_corpus, ScalePreset, SimConfig};
 
@@ -232,64 +230,23 @@ fn resume_rejects_mismatched_configs() {
 }
 
 #[test]
-fn retrieval_mode_does_not_change_recommendations() {
-    // The window index is mechanical: pruned-with-zero-fill must replicate
-    // exhaustive scoring byte-for-byte, for every model family, across
-    // shard layouts. The topic family posts nothing to the window index
-    // (α-smoothed θ gives non-zero cosine even with zero shared tokens),
-    // so for it this pins that both modes fall back to exhaustive scoring.
-    for (seed, options) in [(49, bag_options()), (50, graph_options()), (56, topic_options())] {
-        let prepared = prepared(seed);
-        let mut options = options;
-        options.runtime.retrieval = RetrievalMode::Exhaustive;
-        let exhaustive = Replay::run(&prepared, options);
-        assert!(exhaustive.queries > 0, "the replay must actually issue queries");
-        for shards in [1, 4] {
-            options.runtime = RuntimeOptions {
-                shards,
-                queue_capacity: 16,
-                retrieval: RetrievalMode::Wand,
-                ..RuntimeOptions::default()
-            };
-            let indexed = Replay::run(&prepared, options);
-            assert_eq!(
-                rec_log(&indexed.recommendations).expect("log serializes"),
-                rec_log(&exhaustive.recommendations).expect("log serializes"),
-                "wand over {shards} shard(s) must replicate exhaustive scoring byte-for-byte"
-            );
-        }
-    }
-}
-
-#[test]
-fn scheduler_and_worker_count_do_not_change_recommendations() {
-    // The work-stealing runtime multiplexes logical shards over arbitrary
-    // worker counts; the thread-per-shard baseline pins one thread per
-    // shard. All of it is mechanical: same shards, same bytes.
+fn worker_count_does_not_change_recommendations() {
+    // The runtime multiplexes logical shards over any number of worker
+    // threads: one thread per shard, fewer, or a single one. All of it is
+    // mechanical: same shards, same bytes.
     for (seed, options) in [(51, bag_options()), (52, graph_options()), (55, topic_options())] {
         let prepared = prepared(seed);
         let mut options = options;
-        options.runtime = RuntimeOptions {
-            shards: 8,
-            queue_capacity: 8,
-            scheduler: Scheduler::Threaded,
-            ..RuntimeOptions::default()
-        };
-        let threaded = Replay::run(&prepared, options);
-        assert!(threaded.queries > 0, "the replay must actually issue queries");
+        options.runtime = RuntimeOptions { shards: 8, workers: 8, queue_capacity: 8 };
+        let per_shard = Replay::run(&prepared, options);
+        assert!(per_shard.queries > 0, "the replay must actually issue queries");
         for workers in [1, 4] {
-            options.runtime = RuntimeOptions {
-                shards: 8,
-                workers,
-                queue_capacity: 8,
-                scheduler: Scheduler::WorkSteal,
-                ..RuntimeOptions::default()
-            };
-            let stolen = Replay::run(&prepared, options);
+            options.runtime = RuntimeOptions { shards: 8, workers, queue_capacity: 8 };
+            let multiplexed = Replay::run(&prepared, options);
             assert_eq!(
-                rec_log(&stolen.recommendations).expect("log serializes"),
-                rec_log(&threaded.recommendations).expect("log serializes"),
-                "worksteal({workers} workers) must replicate thread-per-shard byte-for-byte"
+                rec_log(&multiplexed.recommendations).expect("log serializes"),
+                rec_log(&per_shard.recommendations).expect("log serializes"),
+                "8 shards on {workers} worker(s) must replicate 8 workers byte-for-byte"
             );
         }
     }

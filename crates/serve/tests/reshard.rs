@@ -1,6 +1,6 @@
 //! Live-resharding determinism: a snapshot taken under one layout must
-//! restore under *any* other — different logical shard count, worker
-//! count, or scheduler — and continue to a byte-identical recommendation
+//! restore under *any* other — different logical shard count or worker
+//! count — and continue to a byte-identical recommendation
 //! log, from any pause point including the middle of a celebrity storm.
 //!
 //! This is the elastic-serving contract: operators reshard by snapshot →
@@ -13,8 +13,7 @@ use pmr_bag::{BagSimilarity, WeightingScheme};
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_graph::GraphSimilarity;
 use pmr_serve::{
-    rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, Scheduler,
-    ServeModel,
+    rec_log, EngineConfig, EngineSnapshot, Replay, ReplayOptions, RuntimeOptions, ServeModel,
 };
 use pmr_sim::{generate_corpus, ScalePreset, SimConfig};
 
@@ -24,15 +23,9 @@ fn prepared(seed: u64) -> PreparedCorpus {
 }
 
 /// The source layout every snapshot in this suite is taken under:
-/// 4 logical shards on the work-stealing runtime.
+/// 4 logical shards on 2 workers.
 fn source_runtime() -> RuntimeOptions {
-    RuntimeOptions {
-        shards: 4,
-        workers: 2,
-        queue_capacity: 32,
-        scheduler: Scheduler::WorkSteal,
-        ..RuntimeOptions::default()
-    }
+    RuntimeOptions { shards: 4, workers: 2, queue_capacity: 32 }
 }
 
 fn bag_options() -> ReplayOptions {
@@ -169,13 +162,7 @@ fn reshard_matrix_is_byte_identical_for_every_family() {
         let (reference_log, head, wire) = snapshot_at(&prepared, options, pause);
         for shards in [1usize, 16, 64] {
             for workers in [1usize, 4] {
-                let runtime = RuntimeOptions {
-                    shards,
-                    workers,
-                    queue_capacity: 16,
-                    scheduler: Scheduler::WorkSteal,
-                    ..RuntimeOptions::default()
-                };
+                let runtime = RuntimeOptions { shards, workers, queue_capacity: 16 };
                 restore_and_diff(
                     &prepared,
                     options,
@@ -190,21 +177,16 @@ fn reshard_matrix_is_byte_identical_for_every_family() {
     }
 }
 
-/// Resharding across schedulers: a snapshot from the work-stealing runtime
-/// restores onto the thread-per-shard baseline (and the reverse direction
-/// is covered by the matrix above, whose source is work-steal).
+/// Resharding onto one worker per shard: a snapshot from 4 shards on 2
+/// workers restores onto 3 shards on 3 workers (the matrix above covers
+/// fewer workers than shards).
 #[test]
-fn reshard_across_schedulers_is_byte_identical() {
+fn reshard_across_worker_counts_is_byte_identical() {
     let options = bag_options();
     let prepared = prepared(62);
     let pause = prepared.corpus.event_stream().len() / 3;
     let (reference_log, head, wire) = snapshot_at(&prepared, options, pause);
-    let runtime = RuntimeOptions {
-        shards: 3,
-        queue_capacity: 8,
-        scheduler: Scheduler::Threaded,
-        ..RuntimeOptions::default()
-    };
+    let runtime = RuntimeOptions { shards: 3, workers: 3, queue_capacity: 8 };
     restore_and_diff(
         &prepared,
         options,
@@ -212,7 +194,7 @@ fn reshard_across_schedulers_is_byte_identical() {
         &head,
         &wire,
         &reference_log,
-        "worksteal -> threaded",
+        "4 shards x 2 workers -> 3 shards x 3 workers",
     );
 }
 
@@ -226,13 +208,7 @@ fn mid_storm_reshard_is_byte_identical_for_both_gram_families() {
         let pause = mid_storm_position(&prepared);
         let (reference_log, head, wire) = snapshot_at(&prepared, options, pause);
         for (shards, workers) in [(1usize, 1usize), (64, 4)] {
-            let runtime = RuntimeOptions {
-                shards,
-                workers,
-                queue_capacity: 16,
-                scheduler: Scheduler::WorkSteal,
-                ..RuntimeOptions::default()
-            };
+            let runtime = RuntimeOptions { shards, workers, queue_capacity: 16 };
             restore_and_diff(
                 &prepared,
                 options,
@@ -271,13 +247,7 @@ fn mid_refresh_topic_reshard_is_byte_identical() {
     for pause in [refresh as usize + refresh as usize / 2, 2 * refresh as usize] {
         let (reference_log, head, wire) = snapshot_at(&prepared, options, pause);
         for (shards, workers) in [(1usize, 1usize), (16, 4)] {
-            let runtime = RuntimeOptions {
-                shards,
-                workers,
-                queue_capacity: 16,
-                scheduler: Scheduler::WorkSteal,
-                ..RuntimeOptions::default()
-            };
+            let runtime = RuntimeOptions { shards, workers, queue_capacity: 16 };
             restore_and_diff(
                 &prepared,
                 options,

@@ -17,9 +17,10 @@
 //!   representation models ([`ngram`]),
 //! * emoticon classification used by the Labeled-LDA labeler ([`emoticon`]),
 //! * script/language detection used to regenerate the language-distribution
-//!   table of the paper ([`lang`]), and
+//!   table of the paper ([`lang`]),
 //! * tweet cleaning (hashtag/mention/URL/emoticon stripping) that precedes
-//!   language detection ([`clean`]).
+//!   language detection ([`clean`]), and
+//! * the seed mixer every seeded stage derives its RNGs from ([`seed`]).
 //!
 //! No language-specific processing (stemming, lemmatization, POS tagging) is
 //! performed anywhere: the paper's corpus is multilingual (challenge C3) and
@@ -32,11 +33,13 @@ pub mod clean;
 pub mod emoticon;
 pub mod lang;
 pub mod ngram;
+pub mod seed;
 pub mod token;
 pub mod vocab;
 
 pub use emoticon::{classify_emoticon, EmoticonClass};
 pub use lang::{detect_language, Language};
 pub use ngram::{char_ngrams, token_ngrams};
+pub use seed::derive_seed;
 pub use token::{tokenize, Token, TokenKind, Tokenizer, TokenizerOptions};
 pub use vocab::{StopWords, Vocabulary};

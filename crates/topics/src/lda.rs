@@ -162,6 +162,62 @@ pub(crate) fn estimate_theta(n_dk: &[u32], doc_len: usize, alpha: f64) -> Vec<f3
     theta
 }
 
+/// One document's fold-in Gibbs state against a frozen φ: each token's
+/// topic `z` and the document's topic counts `n_dk`. Shared by batch
+/// document inference ([`fold_in`]) and the online background's fold-in,
+/// which differ only in where their RNGs come from and how they turn the
+/// final counts into θ.
+pub(crate) struct FoldIn {
+    z: Vec<usize>,
+    n_dk: Vec<u32>,
+    weights: Vec<f64>,
+}
+
+impl FoldIn {
+    /// Assign each of `doc_len` tokens a uniformly random topic of `k`.
+    pub(crate) fn new(k: usize, doc_len: usize, rng: &mut StdRng) -> FoldIn {
+        let mut n_dk = vec![0u32; k];
+        let z = (0..doc_len)
+            .map(|_| {
+                let t = rng.gen_range(0..k);
+                n_dk[t] += 1;
+                t
+            })
+            .collect();
+        FoldIn { z, n_dk, weights: vec![0.0; k] }
+    }
+
+    /// One sweep: resample every token's topic given all the others, with
+    /// `P(z=t) ∝ (n_dt + α_t) · φ_t[w]`.
+    pub(crate) fn sweep(
+        &mut self,
+        phi: &[Vec<f32>],
+        alpha_per_topic: &[f64],
+        doc: &[TermId],
+        rng: &mut StdRng,
+    ) {
+        // Plain slices, so stores through one buffer never force a reload
+        // of another's pointer and length from `self` in the inner loop.
+        let (z, n_dk, weights) = (&mut self.z[..], &mut self.n_dk[..], &mut self.weights[..]);
+        for (i, &w) in doc.iter().enumerate() {
+            let old = z[i];
+            n_dk[old] -= 1;
+            for (t, wt) in weights.iter_mut().enumerate() {
+                *wt = (n_dk[t] as f64 + alpha_per_topic[t])
+                    * phi[t].get(w as usize).copied().unwrap_or(0.0) as f64;
+            }
+            let new = sample_discrete(rng, weights);
+            z[i] = new;
+            n_dk[new] += 1;
+        }
+    }
+
+    /// The document's topic counts.
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.n_dk
+    }
+}
+
 /// Shared fold-in Gibbs inference over a fixed φ: used by LDA, LLDA and HDP
 /// document inference.
 pub(crate) fn fold_in(
@@ -175,29 +231,11 @@ pub(crate) fn fold_in(
     if doc.is_empty() || k == 0 {
         return uniform(k);
     }
-    let mut n_dk = vec![0u32; k];
-    let mut z: Vec<usize> = doc
-        .iter()
-        .map(|_| {
-            let t = rng.gen_range(0..k);
-            n_dk[t] += 1;
-            t
-        })
-        .collect();
-    let mut weights = vec![0.0f64; k];
+    let mut state = FoldIn::new(k, doc.len(), rng);
     for _ in 0..iterations.max(1) {
-        for (i, &w) in doc.iter().enumerate() {
-            let old = z[i];
-            n_dk[old] -= 1;
-            for (t, wt) in weights.iter_mut().enumerate() {
-                *wt = (n_dk[t] as f64 + alpha_per_topic[t])
-                    * phi[t].get(w as usize).copied().unwrap_or(0.0) as f64;
-            }
-            let new = sample_discrete(rng, &weights);
-            z[i] = new;
-            n_dk[new] += 1;
-        }
+        state.sweep(phi, alpha_per_topic, doc, rng);
     }
+    let n_dk = state.counts();
     let alpha_sum: f64 = alpha_per_topic.iter().sum();
     let denom = doc.len() as f64 + alpha_sum;
     let mut theta: Vec<f32> =

@@ -33,27 +33,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use pmr_text::derive_seed;
 use pmr_text::vocab::TermId;
 
-use crate::model::{normalize, sample_discrete, uniform};
+use crate::lda::FoldIn;
+use crate::model::{normalize, uniform};
 
 /// Seed-stream label for background training draws.
 const S_TRAIN: u64 = 1;
 /// Seed-stream label for fold-in draws.
 const S_FOLDIN: u64 = 2;
-
-/// SplitMix64-style seed derivation (the same mix the simulator's
-/// deterministic seed streams use): collision-resistant across
-/// `(stream, item)` pairs and free of sequential correlation, so every
-/// `(document, sweep)` gets an independent, reproducible RNG.
-fn derive_seed(master: u64, stream: u64, item: u64) -> u64 {
-    let mut z = master
-        ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ item.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Hyperparameters of the online topic subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -293,34 +282,18 @@ impl TopicBackground {
             return uniform(k);
         }
         let master = derive_seed(self.seed, S_FOLDIN, self.epoch);
-        let mut n_dk = vec![0u32; k];
+        let alphas = vec![self.alpha; k];
         let mut init_rng = StdRng::seed_from_u64(derive_seed(master, doc_key, 0));
-        let mut z: Vec<usize> = doc
-            .iter()
-            .map(|_| {
-                let t = init_rng.gen_range(0..k);
-                n_dk[t] += 1;
-                t
-            })
-            .collect();
-        let mut weights = vec![0.0f64; k];
+        let mut state = FoldIn::new(k, doc.len(), &mut init_rng);
         for sweep in 1..=self.foldin_iterations.max(1) {
             let mut rng = StdRng::seed_from_u64(derive_seed(master, doc_key, sweep as u64));
-            for (i, &w) in doc.iter().enumerate() {
-                let old = z[i];
-                n_dk[old] -= 1;
-                for (t, wt) in weights.iter_mut().enumerate() {
-                    *wt = (n_dk[t] as f64 + self.alpha)
-                        * self.phi[t].get(w as usize).copied().unwrap_or(0.0) as f64;
-                }
-                let new = sample_discrete(&mut rng, &weights);
-                z[i] = new;
-                n_dk[new] += 1;
-            }
+            state.sweep(&self.phi, &alphas, doc, &mut rng);
         }
+        // `k·α` rather than `Σα`: the two can differ in the last bit, and
+        // this estimate is pinned by the serving rec logs.
         let denom = doc.len() as f64 + k as f64 * self.alpha;
         let mut theta: Vec<f32> =
-            n_dk.iter().map(|&c| ((c as f64 + self.alpha) / denom) as f32).collect();
+            state.counts().iter().map(|&c| ((c as f64 + self.alpha) / denom) as f32).collect();
         normalize(&mut theta);
         theta
     }

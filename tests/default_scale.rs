@@ -60,12 +60,7 @@ fn default_scale_source_and_user_type_orderings() {
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
     let runner = ExperimentRunner::new(&prepared);
     let opts = RunnerOptions {
-        scoring: ScoringOptions {
-            iteration_scale: 0.02,
-            infer_iterations: 8,
-            seed: 13,
-            ..ScoringOptions::default()
-        },
+        scoring: ScoringOptions { iteration_scale: 0.02, infer_iterations: 8, seed: 13 },
         ran_iterations: 200,
     };
     let tn = ModelConfiguration::Bag {

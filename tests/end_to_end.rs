@@ -18,12 +18,7 @@ fn prepared(seed: u64) -> PreparedCorpus {
 
 fn quick_opts() -> RunnerOptions {
     RunnerOptions {
-        scoring: ScoringOptions {
-            iteration_scale: 0.015,
-            infer_iterations: 6,
-            seed: 5,
-            ..ScoringOptions::default()
-        },
+        scoring: ScoringOptions { iteration_scale: 0.015, infer_iterations: 6, seed: 5 },
         ran_iterations: 200,
     }
 }

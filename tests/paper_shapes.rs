@@ -20,12 +20,7 @@ fn prepared() -> PreparedCorpus {
 
 fn opts() -> RunnerOptions {
     RunnerOptions {
-        scoring: ScoringOptions {
-            iteration_scale: 0.015,
-            infer_iterations: 8,
-            seed: 13,
-            ..ScoringOptions::default()
-        },
+        scoring: ScoringOptions { iteration_scale: 0.015, infer_iterations: 8, seed: 13 },
         ran_iterations: 300,
     }
 }
