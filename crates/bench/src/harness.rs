@@ -471,56 +471,44 @@ impl SweepCache {
     }
 
     /// Run the sweep for `opts` without touching the cache, fanning the
-    /// runs across `opts.jobs` worker threads. The task list is laid out in
-    /// canonical (source, config-index) order and the executor restores
-    /// that order on collection, so the resulting cache JSON is identical
-    /// for every `--jobs` value (wall-clock timing fields aside).
+    /// runs across `opts.jobs` worker threads through
+    /// [`ExperimentRunner::sweep_with_progress`]: one task per model
+    /// identity, results back in canonical (source, config-index) order, so
+    /// the resulting cache JSON is identical for every `--jobs` value
+    /// (wall-clock timing fields aside).
     pub fn run(opts: &HarnessOptions) -> PmrResult<SweepCache> {
         let prepared = opts.prepare_corpus()?;
         let runner = ExperimentRunner::new(&prepared);
         let runner_opts = opts.runner_options();
-        let grid = ConfigGrid::paper();
+        let grid = ConfigGrid::from_configs(
+            ConfigGrid::paper()
+                .configs()
+                .iter()
+                .filter(|c| opts.families.is_empty() || opts.families.contains(&c.family()))
+                .cloned()
+                .collect(),
+        );
         let sources = opts.effective_sources();
-        let configs: Vec<_> = grid
-            .configs()
-            .iter()
-            .filter(|c| opts.families.is_empty() || opts.families.contains(&c.family()))
-            .collect();
-        let tasks: Vec<(RepresentationSource, &pmr_core::ModelConfiguration)> = sources
-            .iter()
-            .flat_map(|&source| {
-                configs
-                    .iter()
-                    .filter(move |c| c.valid_for_source(source))
-                    .map(move |&c| (source, c))
-            })
-            .collect();
-        let total = tasks.len();
-        let jobs = opts.jobs.clamp(1, total.max(1));
-        let _span = pmr_obs::span("sweep");
-        pmr_obs::counter_add("sweep.runs", total as u64);
+        let total: usize = sources.iter().map(|&s| grid.valid_for(s).len()).sum();
         eprintln!(
             "sweep: {} configs × {} sources = {total} runs at scale {} \
-             (iter-scale {}, jobs {jobs})",
-            configs.len(),
+             (iter-scale {}, jobs {})",
+            grid.len(),
             sources.len(),
             opts.scale.name(),
-            opts.iteration_scale
+            opts.iteration_scale,
+            opts.jobs.clamp(1, total.max(1))
         );
         let progress = Progress::new(total, 25);
-        // Build the shared gram tables before fanning out (same tables
-        // either way; this just keeps workers from queueing on the first
-        // build of each key).
-        prepared.prewarm_features(tasks.iter().map(|&(_, config)| config));
-        // Keep jobs × inner-threads ≈ n_cpu while the pool is active.
-        let _inner = executor::inner_threads_for_jobs(jobs);
-        let results = executor::run_tasks(tasks, jobs, |_, (source, config)| {
-            let result = runner.run(config, source, UserGroup::All, &runner_opts);
-            progress.tick();
-            result
-        });
+        let sweep = runner.sweep_with_progress(
+            &grid,
+            &sources,
+            UserGroup::All,
+            &runner_opts,
+            opts.jobs,
+            &progress,
+        );
         progress.finish();
-        let sweep = SweepResult { results };
         let mut groups = BTreeMap::new();
         let mut baselines = BTreeMap::new();
         for group in UserGroup::ALL {

@@ -242,6 +242,24 @@ impl ModelConfiguration {
         }
     }
 
+    /// What this configuration trains: see [`ModelIdentity`].
+    pub fn identity(&self) -> ModelIdentity {
+        let mut erased = self.clone();
+        match &mut erased {
+            ModelConfiguration::Bag { similarity, .. } => *similarity = BagSimilarity::Cosine,
+            ModelConfiguration::Graph { similarity, .. } => {
+                *similarity = GraphSimilarity::Containment
+            }
+            ModelConfiguration::Lda { aggregation, .. }
+            | ModelConfiguration::Llda { aggregation, .. }
+            | ModelConfiguration::Btm { aggregation, .. }
+            | ModelConfiguration::Hdp { aggregation, .. }
+            | ModelConfiguration::Hlda { aggregation, .. }
+            | ModelConfiguration::Plsa { aggregation, .. } => *aggregation = AggKind::Centroid,
+        }
+        ModelIdentity(erased)
+    }
+
     /// Whether the configuration can run on a source: Rocchio needs both
     /// positive and negative examples (§4).
     pub fn valid_for_source(&self, source: RepresentationSource) -> bool {
@@ -284,6 +302,15 @@ impl ModelConfiguration {
         }
     }
 }
+
+/// A configuration with its scoring-only field erased: the aggregation of
+/// a topic model, which only combines the distributions inferred after
+/// `M(s)` is trained, or the similarity of a bag or graph model, which only
+/// compares test documents with the built user model. Configurations with
+/// one identity share one trained model, so a sweep trains it once and
+/// scores every variant from it.
+#[derive(Debug, PartialEq)]
+pub struct ModelIdentity(ModelConfiguration);
 
 /// The full grid of Tables 4 and 5.
 #[derive(Debug, Clone, Default)]
@@ -572,6 +599,28 @@ mod tests {
         // Rocchio rows: TN 6 (3 n × 2 weights), CN 3, LDA/LLDA 24 each,
         // BTM 12, HDP 6, HLDA 8 → 83 excluded for R.
         assert_eq!(r_valid, 223 - 83);
+    }
+
+    #[test]
+    fn identities_erase_only_the_scoring_field() {
+        let grid = ConfigGrid::paper();
+        let mut identities: Vec<ModelIdentity> = Vec::new();
+        for c in grid.configs() {
+            let id = c.identity();
+            if !identities.contains(&id) {
+                identities.push(id);
+            }
+        }
+        // Per n, TN has one BF identity and three per TF/TF-IDF weighting
+        // (Sum, Centroid, Rocchio); CN lacks TF-IDF. Graphs: one per n.
+        // Topic models: one per Centroid/Rocchio pair.
+        assert_eq!(identities.len(), 21 + 12 + 3 + 3 + 24 + 24 + 12 + 6 + 8);
+        let pair = ConfigGrid::hdp_grid();
+        assert_eq!(pair[0].identity(), pair[1].identity(), "Centroid/Rocchio share a model");
+        assert_ne!(pair[0].identity(), pair[2].identity(), "pooling is part of the identity");
+        let graphs = ConfigGrid::graph_grid(false);
+        assert_eq!(graphs[0].identity(), graphs[2].identity(), "similarity is erased");
+        assert_ne!(graphs[0].identity(), graphs[3].identity(), "n is not");
     }
 
     #[test]

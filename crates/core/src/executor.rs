@@ -1,12 +1,14 @@
 //! Parallel sweep execution: a work-distributing thread pool for fanning
-//! independent `(configuration, source)` runs across CPU cores.
+//! independent tasks across CPU cores. The sweep submits one task per
+//! `(source, model identity)`: each trains one model and scores all of
+//! its configurations (see `ExperimentRunner::sweep_jobs`).
 //!
 //! # Design
 //!
 //! [`run_tasks`] pushes every index-tagged task into an unbounded
 //! [`crossbeam::channel`], spawns `jobs` scoped workers that each pull the
 //! next task the moment they finish the previous one (natural load
-//! balancing — a cheap TN run never waits behind an HDP run), and sorts the
+//! balancing — a cheap TN task never waits behind an HDP task), and sorts the
 //! index-tagged results back into input order. Because each run derives all
 //! of its randomness from fixed seeds (see the audit below), the output is
 //! **byte-identical regardless of `jobs` or scheduling**, except for the

@@ -9,10 +9,11 @@ use pmr_sim::usertype::{partition_users, Partition, UserGroup};
 use pmr_sim::UserId;
 
 use crate::baseline::{chronological_ap, random_ap};
-use crate::config::{ConfigGrid, ModelConfiguration, ModelFamily};
+use crate::config::{ConfigGrid, ModelConfiguration, ModelFamily, ModelIdentity};
 use crate::eval::{mean_average_precision, MapSummary};
+use crate::executor::Progress;
 use crate::prepare::PreparedCorpus;
-use crate::recommender::{score_configuration, ScoreOutcome, ScoringOptions};
+use crate::recommender::{score_variants, ScoringOptions};
 use crate::source::RepresentationSource;
 use crate::timing::TimeStats;
 
@@ -161,7 +162,8 @@ impl<'a> ExperimentRunner<'a> {
             .collect()
     }
 
-    /// Score one `(configuration, source)` pair on a group.
+    /// Score one `(configuration, source)` pair on a group: the one-variant
+    /// case of [`run_identity`](Self::run_identity).
     pub fn run(
         &self,
         config: &ModelConfiguration,
@@ -169,40 +171,66 @@ impl<'a> ExperimentRunner<'a> {
         group: UserGroup,
         opts: &RunnerOptions,
     ) -> ConfigResult {
+        let mut results = self.run_identity(&[config], source, group, opts);
+        // pmr-lint: allow(lib-unwrap): run_identity returns one result per variant
+        results.pop().expect("one variant, one result")
+    }
+
+    /// Score every variant of one model identity on a source and group,
+    /// training the shared model once (see [`score_variants`]). Results
+    /// come back in the order of `variants`.
+    pub fn run_identity(
+        &self,
+        variants: &[&ModelConfiguration],
+        source: RepresentationSource,
+        group: UserGroup,
+        opts: &RunnerOptions,
+    ) -> Vec<ConfigResult> {
         let users = self.group_users(group);
-        let outcome: ScoreOutcome =
-            score_configuration(self.prepared, config, source, &users, &opts.scoring);
-        let aps: Vec<f64> = outcome.per_user.iter().map(|r| r.ap).collect();
-        // Per-phase observability: fold each run's measured train/test time
-        // into per-family histograms and journal the run (no-ops unless a
-        // recorder is installed).
-        let family = config.family();
-        let train_us = u64::try_from(outcome.train_time.as_micros()).unwrap_or(u64::MAX);
-        let test_us = u64::try_from(outcome.test_time.as_micros()).unwrap_or(u64::MAX);
-        pmr_obs::observe_duration(&format!("run.train.{}", family.name()), outcome.train_time);
-        pmr_obs::observe_duration(&format!("run.test.{}", family.name()), outcome.test_time);
-        pmr_obs::event(
-            "run",
-            "run_complete",
-            &[
-                ("family", family.name().into()),
-                ("source", source.name().into()),
-                ("group", group.name().into()),
-                ("users", users.len().into()),
-                ("train_us", train_us.into()),
-                ("test_us", test_us.into()),
-            ],
-        );
-        ConfigResult {
-            config: config.clone(),
-            family: config.family(),
-            source,
-            group,
-            map: mean_average_precision(&aps),
-            per_user_ap: outcome.per_user.iter().map(|r| (r.user, r.ap)).collect(),
-            train_time: outcome.train_time,
-            test_time: outcome.test_time,
-        }
+        let outcomes = score_variants(self.prepared, variants, source, &users, &opts.scoring);
+        variants
+            .iter()
+            .zip(outcomes)
+            .map(|(&config, outcome)| {
+                let aps: Vec<f64> = outcome.per_user.iter().map(|r| r.ap).collect();
+                // Per-phase observability: fold each run's measured
+                // train/test time into per-family histograms and journal
+                // the run (no-ops unless a recorder is installed).
+                let family = config.family();
+                let train_us = u64::try_from(outcome.train_time.as_micros()).unwrap_or(u64::MAX);
+                let test_us = u64::try_from(outcome.test_time.as_micros()).unwrap_or(u64::MAX);
+                pmr_obs::observe_duration(
+                    &format!("run.train.{}", family.name()),
+                    outcome.train_time,
+                );
+                pmr_obs::observe_duration(
+                    &format!("run.test.{}", family.name()),
+                    outcome.test_time,
+                );
+                pmr_obs::event(
+                    "run",
+                    "run_complete",
+                    &[
+                        ("family", family.name().into()),
+                        ("source", source.name().into()),
+                        ("group", group.name().into()),
+                        ("users", users.len().into()),
+                        ("train_us", train_us.into()),
+                        ("test_us", test_us.into()),
+                    ],
+                );
+                ConfigResult {
+                    config: config.clone(),
+                    family,
+                    source,
+                    group,
+                    map: mean_average_precision(&aps),
+                    per_user_ap: outcome.per_user.iter().map(|r| (r.user, r.ap)).collect(),
+                    train_time: outcome.train_time,
+                    test_time: outcome.test_time,
+                }
+            })
+            .collect()
     }
 
     /// Sweep a grid over sources for one group, fanning the runs across the
@@ -223,6 +251,10 @@ impl<'a> ExperimentRunner<'a> {
     /// order — the same order the sequential nested loop would produce — so
     /// the `SweepResult` is identical regardless of `jobs` or scheduling
     /// (up to the wall-clock `train_time`/`test_time` fields).
+    ///
+    /// The runs are grouped by `(source, model identity)`: each executor
+    /// task trains one model and scores all its variants
+    /// ([`run_identity`](Self::run_identity)).
     pub fn sweep_jobs(
         &self,
         grid: &ConfigGrid,
@@ -231,21 +263,81 @@ impl<'a> ExperimentRunner<'a> {
         opts: &RunnerOptions,
         jobs: usize,
     ) -> SweepResult {
+        self.sweep_grouped(grid, sources, group, opts, jobs, None)
+    }
+
+    /// [`sweep_jobs`](Self::sweep_jobs), ticking `progress` once per
+    /// finished run.
+    pub fn sweep_with_progress(
+        &self,
+        grid: &ConfigGrid,
+        sources: &[RepresentationSource],
+        group: UserGroup,
+        opts: &RunnerOptions,
+        jobs: usize,
+        progress: &Progress,
+    ) -> SweepResult {
+        self.sweep_grouped(grid, sources, group, opts, jobs, Some(progress))
+    }
+
+    fn sweep_grouped(
+        &self,
+        grid: &ConfigGrid,
+        sources: &[RepresentationSource],
+        group: UserGroup,
+        opts: &RunnerOptions,
+        jobs: usize,
+        progress: Option<&Progress>,
+    ) -> SweepResult {
         let tasks: Vec<(RepresentationSource, &ModelConfiguration)> = sources
             .iter()
             .flat_map(|&source| {
                 grid.valid_for(source).into_iter().map(move |config| (source, config))
             })
             .collect();
+        // Group the runs by what they train, in first-occurrence order;
+        // `members[g]` holds the canonical indices of identity g's runs.
+        let mut identities: Vec<(RepresentationSource, ModelIdentity)> = Vec::new();
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for (i, &(source, config)) in tasks.iter().enumerate() {
+            let key = (source, config.identity());
+            match identities.iter().position(|k| *k == key) {
+                Some(g) => members[g].push(i),
+                None => {
+                    identities.push(key);
+                    members.push(vec![i]);
+                }
+            }
+        }
         let _span = pmr_obs::span("sweep");
         pmr_obs::counter_add("sweep.runs", tasks.len() as u64);
+        pmr_obs::counter_add("sweep.models_trained", members.len() as u64);
         // Build every shared gram table up front so the first worker of
         // each (kind, n) does not pay the build while its peers wait.
         self.prepared.prewarm_features(tasks.iter().map(|&(_, config)| config));
+        let jobs = jobs.clamp(1, members.len().max(1));
         let _inner = crate::executor::inner_threads_for_jobs(jobs);
-        let results = crate::executor::run_tasks(tasks, jobs, |_, (source, config)| {
-            self.run(config, source, group, opts)
+        let groups: Vec<&[usize]> = members.iter().map(Vec::as_slice).collect();
+        let scored = crate::executor::run_tasks(groups, jobs, |_, indices| {
+            let source = tasks[indices[0]].0;
+            let variants: Vec<&ModelConfiguration> = indices.iter().map(|&i| tasks[i].1).collect();
+            let results = self.run_identity(&variants, source, group, opts);
+            if let Some(progress) = progress {
+                for _ in &results {
+                    progress.tick();
+                }
+            }
+            results
         });
+        // Scatter each identity's results back to their canonical slots.
+        let mut slots: Vec<Option<ConfigResult>> = (0..tasks.len()).map(|_| None).collect();
+        for (indices, results) in members.iter().zip(scored) {
+            for (&i, result) in indices.iter().zip(results) {
+                slots[i] = Some(result);
+            }
+        }
+        let results: Vec<ConfigResult> = slots.into_iter().flatten().collect();
+        debug_assert_eq!(results.len(), tasks.len(), "every run produces exactly one result");
         SweepResult { results }
     }
 

@@ -46,7 +46,7 @@ pub mod taxonomy;
 pub mod timing;
 
 pub use baseline::{chronological_ap, random_ap};
-pub use config::{AggKind, ConfigGrid, ModelConfiguration, ModelFamily};
+pub use config::{AggKind, ConfigGrid, ModelConfiguration, ModelFamily, ModelIdentity};
 pub use error::{PmrError, PmrResult};
 pub use eval::{average_precision, map_deviation, mean_average_precision};
 pub use experiment::{ExperimentRunner, RunnerOptions, SweepResult};

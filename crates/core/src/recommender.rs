@@ -15,6 +15,11 @@
 //!   users (pooled per the configuration's scheme), then infer
 //!   distributions for each user's training tweets (centroid/Rocchio →
 //!   user model) and testing tweets (document models), compared by cosine.
+//!
+//! Configurations that differ only in a field applied after training (see
+//! [`ModelIdentity`](crate::ModelIdentity)) are scored together by
+//! [`score_variants`]: the model is built once and each variant only
+//! aggregates or compares.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -23,8 +28,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use pmr_bag::{AggregationFunction, IndexedVectorizer, RocchioParams, ScoringKernel, SparseVector};
-use pmr_graph::{GraphSpace, NGramGraph};
+use pmr_bag::{
+    AggregationFunction, BagSimilarity, IndexedVectorizer, RocchioParams, ScoringKernel,
+    SparseVector,
+};
+use pmr_graph::{GraphSimilarity, GraphSpace, NGramGraph};
 use pmr_sim::{TweetId, UserId};
 use pmr_topics::pooling::{pool_indexed, PoolInput};
 use pmr_topics::{
@@ -48,7 +56,7 @@ pub struct UserResult {
 }
 
 /// Outcome of scoring one `(configuration, source)` pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ScoreOutcome {
     /// Per-user APs (only users with a valid split).
     pub per_user: Vec<UserResult>,
@@ -87,7 +95,8 @@ impl ScoringOptions {
     }
 }
 
-/// Score a configuration on a source for the given users.
+/// Score a configuration on a source for the given users: the one-variant
+/// case of [`score_variants`].
 pub fn score_configuration(
     prepared: &PreparedCorpus,
     config: &ModelConfiguration,
@@ -95,18 +104,57 @@ pub fn score_configuration(
     users: &[UserId],
     opts: &ScoringOptions,
 ) -> ScoreOutcome {
-    assert!(
-        config.valid_for_source(source),
-        "{} is invalid for source {source} (Rocchio needs negatives)",
-        config.describe()
-    );
-    match config {
-        ModelConfiguration::Bag { char_grams, n, weighting, aggregation, similarity } => {
+    let mut outcomes = score_variants(prepared, &[config], source, users, opts);
+    // pmr-lint: allow(lib-unwrap): score_variants returns one outcome per variant
+    outcomes.pop().expect("one variant, one outcome")
+}
+
+/// Score every variant of one [`ModelIdentity`](crate::ModelIdentity) on a
+/// source for the given users, training the shared model once. Returns one
+/// outcome per variant, in order; each is bit-identical to scoring that
+/// configuration alone.
+///
+/// The shared work is a topic model's training and inference, or per user
+/// a bag model's fit/transform/aggregate or a graph model's merge and test
+/// graphs. A variant's `train_time` and `test_time` are the shared time
+/// divided by the number of variants plus its own, so the outcomes' times
+/// still add up to the work done.
+pub fn score_variants(
+    prepared: &PreparedCorpus,
+    variants: &[&ModelConfiguration],
+    source: RepresentationSource,
+    users: &[UserId],
+    opts: &ScoringOptions,
+) -> Vec<ScoreOutcome> {
+    let Some(&first) = variants.first() else { return Vec::new() };
+    for config in variants {
+        assert!(
+            config.valid_for_source(source),
+            "{} is invalid for source {source} (Rocchio needs negatives)",
+            config.describe()
+        );
+        assert!(
+            config.identity() == first.identity(),
+            "{} and {} train different models",
+            config.describe(),
+            first.describe()
+        );
+    }
+    let k = variants.len();
+    match first {
+        ModelConfiguration::Bag { char_grams, n, weighting, aggregation, .. } => {
+            let similarities: Vec<BagSimilarity> = variants
+                .iter()
+                .map(|c| match c {
+                    ModelConfiguration::Bag { similarity, .. } => *similarity,
+                    _ => unreachable!("variants share one identity"),
+                })
+                .collect();
             // One shared gram table per (kind, n) serves every user of every
             // configuration; per-user work is reduced to remapping global
             // gram ids into the user's local vector space.
             let table = prepared.gram_table(GramKind::of(*char_grams), *n);
-            context_scores(prepared, source, users, |train, test, pos_flags| {
+            context_scores(prepared, source, users, k, |train, test, pos_flags| {
                 let t0 = Instant::now();
                 let vectorizer = {
                     let _t = pmr_obs::timer("bag.fit");
@@ -135,24 +183,46 @@ pub fn score_configuration(
                         }
                     }
                 };
-                let kernel = {
-                    let _t = pmr_obs::timer("bag.kernel_build");
-                    ScoringKernel::new(*similarity, &user_model)
-                };
-                let train_time = t0.elapsed();
+                let shared_train = t0.elapsed();
                 let t1 = Instant::now();
-                let scores: Vec<f64> = {
-                    let _timer = pmr_obs::timer("kernel.score");
-                    test.iter()
-                        .map(|&id| kernel.score(&vectorizer.transform(table.doc(id))))
-                        .collect()
+                let test_vectors: Vec<SparseVector> = {
+                    let _t = pmr_obs::timer("bag.transform");
+                    test.iter().map(|&id| vectorizer.transform(table.doc(id))).collect()
                 };
-                (scores, train_time, t1.elapsed())
+                let shared_test = t1.elapsed();
+                similarities
+                    .iter()
+                    .map(|&similarity| {
+                        let t2 = Instant::now();
+                        let kernel = {
+                            let _t = pmr_obs::timer("bag.kernel_build");
+                            ScoringKernel::new(similarity, &user_model)
+                        };
+                        let own_train = t2.elapsed();
+                        let t3 = Instant::now();
+                        let scores: Vec<f64> = {
+                            let _timer = pmr_obs::timer("kernel.score");
+                            test_vectors.iter().map(|v| kernel.score(v)).collect()
+                        };
+                        (
+                            scores,
+                            amortized(shared_train, k, own_train),
+                            amortized(shared_test, k, t3.elapsed()),
+                        )
+                    })
+                    .collect()
             })
         }
-        ModelConfiguration::Graph { char_grams, n, similarity } => {
+        ModelConfiguration::Graph { char_grams, n, .. } => {
+            let similarities: Vec<GraphSimilarity> = variants
+                .iter()
+                .map(|c| match c {
+                    ModelConfiguration::Graph { similarity, .. } => *similarity,
+                    _ => unreachable!("variants share one identity"),
+                })
+                .collect();
             let table = prepared.gram_table(GramKind::of(*char_grams), *n);
-            context_scores(prepared, source, users, |train, test, _pos_flags| {
+            context_scores(prepared, source, users, k, |train, test, _pos_flags| {
                 let t0 = Instant::now();
                 let mut space = GraphSpace::new();
                 let mut user_model = NGramGraph::new();
@@ -160,117 +230,148 @@ pub fn score_configuration(
                     let g = space.graph_from_grams(&table.doc_terms(id), *n);
                     user_model.merge(&g);
                 }
-                let train_time = t0.elapsed();
+                let shared_train = t0.elapsed();
                 let t1 = Instant::now();
-                let scores: Vec<f64> = test
+                let test_graphs: Vec<NGramGraph> = test
                     .iter()
-                    .map(|&id| {
-                        let g = space.graph_from_grams(&table.doc_terms(id), *n);
-                        similarity.compare(&user_model, &g)
-                    })
+                    .map(|&id| space.graph_from_grams(&table.doc_terms(id), *n))
                     .collect();
-                (scores, train_time, t1.elapsed())
+                let shared_test = t1.elapsed();
+                similarities
+                    .iter()
+                    .map(|similarity| {
+                        let t2 = Instant::now();
+                        let scores: Vec<f64> = test_graphs
+                            .iter()
+                            .map(|g| similarity.compare(&user_model, g))
+                            .collect();
+                        (
+                            scores,
+                            amortized(shared_train, k, Duration::ZERO),
+                            amortized(shared_test, k, t2.elapsed()),
+                        )
+                    })
+                    .collect()
             })
         }
-        ModelConfiguration::Lda { topics, iterations, pooling, aggregation } => {
-            topic_scores(prepared, source, users, *pooling, *aggregation, opts, |corpus| {
-                let mut cfg = LdaConfig::paper(*topics, opts.scale(*iterations), opts.seed);
-                cfg.infer_iterations = opts.infer_iterations;
-                Box::new(LdaModel::train(&cfg, corpus))
-            })
-        }
-        ModelConfiguration::Llda { topics, iterations, pooling, aggregation } => {
-            topic_scores(prepared, source, users, *pooling, *aggregation, opts, |corpus| {
-                let mut cfg = LldaConfig::paper(*topics, opts.scale(*iterations), opts.seed);
-                cfg.infer_iterations = opts.infer_iterations;
-                Box::new(LldaModel::train(&cfg, corpus))
-            })
-        }
-        ModelConfiguration::Btm { topics, pooling, aggregation } => {
-            let window = if *pooling == PoolingScheme::NP {
-                // Individual tweets: the window is the tweet itself (§4).
-                10_000
-            } else {
-                30
-            };
-            topic_scores(prepared, source, users, *pooling, *aggregation, opts, move |corpus| {
-                let mut cfg = BtmConfig::paper(*topics, opts.scale(1_000), opts.seed);
-                cfg.window = window;
-                Box::new(BtmModel::train(&cfg, corpus))
-            })
-        }
-        ModelConfiguration::Hdp { beta, pooling, aggregation } => {
-            topic_scores(prepared, source, users, *pooling, *aggregation, opts, |corpus| {
-                let mut cfg = HdpConfig::paper(*beta, opts.scale(1_000), opts.seed);
-                cfg.infer_iterations = opts.infer_iterations;
-                Box::new(HdpModel::train(&cfg, corpus))
-            })
-        }
-        ModelConfiguration::Hlda { alpha, beta, gamma, aggregation } => {
-            topic_scores(prepared, source, users, PoolingScheme::UP, *aggregation, opts, |corpus| {
-                let mut cfg =
-                    HldaConfig::paper(*alpha, *beta, *gamma, opts.scale(1_000), opts.seed);
-                cfg.infer_iterations = opts.infer_iterations.min(10);
-                Box::new(HldaModel::train(&cfg, corpus))
-            })
-        }
-        ModelConfiguration::Plsa { topics, iterations, pooling, aggregation } => {
-            topic_scores(prepared, source, users, *pooling, *aggregation, opts, |corpus| {
-                let cfg = PlsaConfig {
-                    topics: *topics,
-                    iterations: opts.scale(*iterations),
-                    infer_iterations: opts.infer_iterations,
-                    seed: opts.seed,
-                };
-                Box::new(PlsaModel::train(&cfg, corpus))
-            })
+        _ => {
+            let aggregations: Vec<AggKind> =
+                variants.iter().filter_map(|c| c.aggregation()).collect();
+            topic_scores(prepared, source, users, first, &aggregations, opts)
         }
     }
 }
 
+/// Train the topic model `M(s)` of a topic configuration.
+fn train_topic_model(
+    config: &ModelConfiguration,
+    corpus: &TopicCorpus,
+    opts: &ScoringOptions,
+) -> Box<dyn TopicModel> {
+    match *config {
+        ModelConfiguration::Lda { topics, iterations, .. } => {
+            let mut cfg = LdaConfig::paper(topics, opts.scale(iterations), opts.seed);
+            cfg.infer_iterations = opts.infer_iterations;
+            Box::new(LdaModel::train(&cfg, corpus))
+        }
+        ModelConfiguration::Llda { topics, iterations, .. } => {
+            let mut cfg = LldaConfig::paper(topics, opts.scale(iterations), opts.seed);
+            cfg.infer_iterations = opts.infer_iterations;
+            Box::new(LldaModel::train(&cfg, corpus))
+        }
+        ModelConfiguration::Btm { topics, pooling, .. } => {
+            let mut cfg = BtmConfig::paper(topics, opts.scale(1_000), opts.seed);
+            // Individual tweets: the window is the tweet itself (§4).
+            cfg.window = if pooling == PoolingScheme::NP { 10_000 } else { 30 };
+            Box::new(BtmModel::train(&cfg, corpus))
+        }
+        ModelConfiguration::Hdp { beta, .. } => {
+            let mut cfg = HdpConfig::paper(beta, opts.scale(1_000), opts.seed);
+            cfg.infer_iterations = opts.infer_iterations;
+            Box::new(HdpModel::train(&cfg, corpus))
+        }
+        ModelConfiguration::Hlda { alpha, beta, gamma, .. } => {
+            let mut cfg = HldaConfig::paper(alpha, beta, gamma, opts.scale(1_000), opts.seed);
+            cfg.infer_iterations = opts.infer_iterations.min(10);
+            Box::new(HldaModel::train(&cfg, corpus))
+        }
+        ModelConfiguration::Plsa { topics, iterations, .. } => {
+            let cfg = PlsaConfig {
+                topics,
+                iterations: opts.scale(iterations),
+                infer_iterations: opts.infer_iterations,
+                seed: opts.seed,
+            };
+            Box::new(PlsaModel::train(&cfg, corpus))
+        }
+        ModelConfiguration::Bag { .. } | ModelConfiguration::Graph { .. } => {
+            unreachable!("{} is not a topic model", config.describe())
+        }
+    }
+}
+
+/// A variant's share of time measured once for all `k` variants of an
+/// identity, plus the time spent on it alone.
+fn amortized(shared: Duration, k: usize, own: Duration) -> Duration {
+    shared / u32::try_from(k).unwrap_or(u32::MAX) + own
+}
+
+/// One variant's test scores for one user, with its (amortized) train and
+/// test time.
+type VariantScores = (Vec<f64>, Duration, Duration);
+
 /// Shared driver for the per-user context-based models. The closure gets
 /// `(train ids, test ids, positivity flags of train ids)` and returns the
-/// test scores plus its own train/test timing.
+/// test scores and timing of each of the `k` variants.
 fn context_scores<F>(
     prepared: &PreparedCorpus,
     source: RepresentationSource,
     users: &[UserId],
+    k: usize,
     per_user: F,
-) -> ScoreOutcome
+) -> Vec<ScoreOutcome>
 where
-    F: Fn(&[TweetId], &[TweetId], &[bool]) -> (Vec<f64>, Duration, Duration) + Sync,
+    F: Fn(&[TweetId], &[TweetId], &[bool]) -> Vec<VariantScores> + Sync,
 {
     let split = &prepared.split;
     let corpus = &prepared.corpus;
-    let mut per_user_results = Vec::with_capacity(users.len());
-    let mut train_time = Duration::ZERO;
-    let mut test_time = Duration::ZERO;
     // Work items are independent; run them on scoped threads and collect
     // deterministically by index.
-    let results: Vec<Option<(UserResult, Duration, Duration)>> = parallel_map(users, |&user| {
-        let user_split = split.user(user)?;
-        let train = split.train_ids(corpus, user, source);
-        let test = user_split.test_docs();
-        let flags: Vec<bool> =
-            train.iter().map(|&id| split.is_positive_train_doc(corpus, user, id)).collect();
-        let (scores, tt, et) = per_user(&train, &test, &flags);
-        let docs: Vec<ScoredDoc> = test
-            .iter()
-            .zip(&scores)
-            .map(|(&id, &score)| ScoredDoc {
-                score,
-                relevant: user_split.is_positive(id),
-                tie_break: crate::eval::tie_break_key(id.0),
-            })
-            .collect();
-        Some((UserResult { user, ap: average_precision(&docs) }, tt, et))
-    });
-    for r in results.into_iter().flatten() {
-        per_user_results.push(r.0);
-        train_time += r.1;
-        test_time += r.2;
+    let results: Vec<Option<Vec<(UserResult, Duration, Duration)>>> =
+        parallel_map(users, |&user| {
+            let user_split = split.user(user)?;
+            let train = split.train_ids(corpus, user, source);
+            let test = user_split.test_docs();
+            let flags: Vec<bool> =
+                train.iter().map(|&id| split.is_positive_train_doc(corpus, user, id)).collect();
+            let variants = per_user(&train, &test, &flags);
+            Some(
+                variants
+                    .into_iter()
+                    .map(|(scores, tt, et)| {
+                        let docs: Vec<ScoredDoc> = test
+                            .iter()
+                            .zip(&scores)
+                            .map(|(&id, &score)| ScoredDoc {
+                                score,
+                                relevant: user_split.is_positive(id),
+                                tie_break: crate::eval::tie_break_key(id.0),
+                            })
+                            .collect();
+                        (UserResult { user, ap: average_precision(&docs) }, tt, et)
+                    })
+                    .collect(),
+            )
+        });
+    let mut outcomes = vec![ScoreOutcome::default(); k];
+    for variants in results.into_iter().flatten() {
+        for (outcome, (result, tt, et)) in outcomes.iter_mut().zip(variants) {
+            outcome.per_user.push(result);
+            outcome.train_time += tt;
+            outcome.test_time += et;
+        }
     }
-    ScoreOutcome { per_user: per_user_results, train_time, test_time }
+    outcomes
 }
 
 /// Run `f` over `items` on scoped threads, preserving order. Respects the
@@ -301,21 +402,25 @@ where
     out.into_iter().map(|r| r.expect("all slots filled")).collect()
 }
 
-/// Topic-model regime: train one `M(s)`, infer distributions, aggregate,
-/// score with cosine.
-#[allow(clippy::too_many_arguments)]
-fn topic_scores<F>(
+/// Topic-model regime: train one `M(s)` and infer distributions once, then
+/// aggregate and score with cosine under each of the `aggregations`.
+fn topic_scores(
     prepared: &PreparedCorpus,
     source: RepresentationSource,
     users: &[UserId],
-    pooling: PoolingScheme,
-    aggregation: AggKind,
+    config: &ModelConfiguration,
+    aggregations: &[AggKind],
     opts: &ScoringOptions,
-    train_model: F,
-) -> ScoreOutcome
-where
-    F: FnOnce(&TopicCorpus) -> Box<dyn TopicModel>,
-{
+) -> Vec<ScoreOutcome> {
+    let pooling = match *config {
+        ModelConfiguration::Lda { pooling, .. }
+        | ModelConfiguration::Llda { pooling, .. }
+        | ModelConfiguration::Btm { pooling, .. }
+        | ModelConfiguration::Hdp { pooling, .. }
+        | ModelConfiguration::Plsa { pooling, .. } => pooling,
+        // HLDA is restricted to user pooling by the time constraint (§4).
+        _ => PoolingScheme::UP,
+    };
     let split = &prepared.split;
     let corpus = &prepared.corpus;
     let t0 = Instant::now();
@@ -356,7 +461,7 @@ where
             ids
         })
         .collect();
-    let model = train_model(&topic_corpus);
+    let model = train_topic_model(config, &topic_corpus, opts);
     // Inference cache over every tweet we will need (train + test).
     let mut needed: Vec<TweetId> = train_union.clone();
     for &u in users {
@@ -375,46 +480,55 @@ where
     });
     let theta_of: HashMap<TweetId, usize> =
         needed.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    // User models.
-    let mut per_user = Vec::with_capacity(users.len());
-    let mut train_time = t0.elapsed();
-    let mut test_time = Duration::ZERO;
-    for &user in users {
-        let Some(user_split) = split.user(user) else { continue };
-        let tm = Instant::now();
-        let train = split.train_ids(corpus, user, source);
-        let mut pos: Vec<&[f32]> = Vec::new();
-        let mut neg: Vec<&[f32]> = Vec::new();
-        for &id in &train {
-            let th = thetas[theta_of[&id]].as_slice();
-            if aggregation != AggKind::Rocchio || split.is_positive_train_doc(corpus, user, id) {
-                pos.push(th);
-            } else {
-                neg.push(th);
+    let shared = t0.elapsed();
+    let k = aggregations.len();
+    aggregations
+        .iter()
+        .map(|&aggregation| {
+            // User models.
+            let mut per_user = Vec::with_capacity(users.len());
+            let mut train_time = amortized(shared, k, Duration::ZERO);
+            let mut test_time = Duration::ZERO;
+            for &user in users {
+                let Some(user_split) = split.user(user) else { continue };
+                let tm = Instant::now();
+                let train = split.train_ids(corpus, user, source);
+                let mut pos: Vec<&[f32]> = Vec::new();
+                let mut neg: Vec<&[f32]> = Vec::new();
+                for &id in &train {
+                    let th = thetas[theta_of[&id]].as_slice();
+                    if aggregation != AggKind::Rocchio
+                        || split.is_positive_train_doc(corpus, user, id)
+                    {
+                        pos.push(th);
+                    } else {
+                        neg.push(th);
+                    }
+                }
+                let user_model = match aggregation {
+                    // The paper builds topic user models as the centroid of the
+                    // training distributions; Sum differs from Centroid only by a
+                    // scale factor, which cosine ignores.
+                    AggKind::Sum | AggKind::Centroid => dense_centroid(&pos, model.num_topics()),
+                    AggKind::Rocchio => dense_rocchio(&pos, &neg, model.num_topics()),
+                };
+                train_time += tm.elapsed();
+                let te = Instant::now();
+                let docs: Vec<ScoredDoc> = user_split
+                    .test_docs()
+                    .into_iter()
+                    .map(|id| ScoredDoc {
+                        score: dense_cosine(&user_model, &thetas[theta_of[&id]]),
+                        relevant: user_split.is_positive(id),
+                        tie_break: crate::eval::tie_break_key(id.0),
+                    })
+                    .collect();
+                per_user.push(UserResult { user, ap: average_precision(&docs) });
+                test_time += te.elapsed();
             }
-        }
-        let user_model = match aggregation {
-            // The paper builds topic user models as the centroid of the
-            // training distributions; Sum differs from Centroid only by a
-            // scale factor, which cosine ignores.
-            AggKind::Sum | AggKind::Centroid => dense_centroid(&pos, model.num_topics()),
-            AggKind::Rocchio => dense_rocchio(&pos, &neg, model.num_topics()),
-        };
-        train_time += tm.elapsed();
-        let te = Instant::now();
-        let docs: Vec<ScoredDoc> = user_split
-            .test_docs()
-            .into_iter()
-            .map(|id| ScoredDoc {
-                score: dense_cosine(&user_model, &thetas[theta_of[&id]]),
-                relevant: user_split.is_positive(id),
-                tie_break: crate::eval::tie_break_key(id.0),
-            })
-            .collect();
-        per_user.push(UserResult { user, ap: average_precision(&docs) });
-        test_time += te.elapsed();
-    }
-    ScoreOutcome { per_user, train_time, test_time }
+            ScoreOutcome { per_user, train_time, test_time }
+        })
+        .collect()
 }
 
 /// Mean of L2-normalized dense vectors.
