@@ -46,7 +46,8 @@ pub const REGISTRY: [Rule; 11] = [
         name: "nondet-iter",
         kind: RuleKind::Token,
         summary: "iterating a HashMap/HashSet where the loop body feeds serialization, float \
-                  accumulation or Vec::push without a subsequent sort",
+                  accumulation (sum/product, or += / -= of a float) or Vec::push without a \
+                  subsequent sort",
     },
     Rule {
         name: "unseeded-rng",
@@ -285,6 +286,9 @@ fn region_has_sink(toks: &[Tok], from: usize, to: usize) -> Option<usize> {
     let to = to.min(toks.len().saturating_sub(1));
     for i in from..=to {
         let t = &toks[i];
+        if is_float_accumulation(toks, i, to) {
+            return Some(i);
+        }
         if t.kind != TokKind::Ident {
             continue;
         }
@@ -313,6 +317,38 @@ fn region_has_sink(toks: &[Tok], from: usize, to: usize) -> Option<usize> {
         }
     }
     None
+}
+
+/// A compound assignment `+=`/`-=` at `i` whose right-hand side carries a
+/// float — an `as f64`/`as f32` cast, a float literal or a call — so its
+/// result depends on the order of the accumulation. Integer counting
+/// (`*n += 1`) does not.
+fn is_float_accumulation(toks: &[Tok], i: usize, to: usize) -> bool {
+    let op = toks[i].kind == TokKind::Punct && (toks[i].text == "+" || toks[i].text == "-");
+    if !op || toks.get(i + 1).is_none_or(|u| u.text != "=") {
+        return false;
+    }
+    let rhs = toks.get(i + 2..=statement_end(toks, i + 2).min(to)).unwrap_or_default();
+    rhs.iter().enumerate().any(|(k, u)| {
+        let next = rhs.get(k + 1).map(|n| n.text.as_str());
+        match u.kind {
+            TokKind::NumLit => {
+                !u.text.starts_with("0x")
+                    && (u.text.contains('.') || u.text.ends_with("f64") || u.text.ends_with("f32"))
+            }
+            TokKind::Ident if u.text == "as" => matches!(next, Some("f64" | "f32")),
+            TokKind::Ident => next == Some("("),
+            _ => false,
+        }
+    })
+}
+
+/// How a sink reads in a finding: the token, or the whole `+=`/`-=`.
+fn sink_name(toks: &[Tok], sink: usize) -> String {
+    match toks[sink].kind {
+        TokKind::Punct => format!("{}=", toks[sink].text),
+        _ => toks[sink].text.clone(),
+    }
 }
 
 /// The end (token index of `;`) of the statement starting at `from`,
@@ -404,7 +440,7 @@ fn check_nondet_iter(ctx: &FileContext, findings: &mut Vec<Finding>) {
                              a subsequent sort; hash iteration order is nondeterministic",
                             t.text,
                             toks[i + 2].text,
-                            toks[sink].text
+                            sink_name(toks, sink)
                         ),
                     ));
                 }
@@ -443,7 +479,7 @@ fn check_nondet_iter(ctx: &FileContext, findings: &mut Vec<Finding>) {
                         format!(
                             "`for` loop over a hash-ordered collection feeds `{}` without \
                              a subsequent sort; hash iteration order is nondeterministic",
-                            toks[sink].text
+                            sink_name(toks, sink)
                         ),
                     ));
                 }

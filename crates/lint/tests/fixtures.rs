@@ -41,6 +41,19 @@ fn nondet_iter_fixtures() {
     check_rule("nondet-iter", "nondet_iter");
 }
 
+/// A float accumulated with `+=` in hash order is a sink; integer counting
+/// in the same loop shape is not.
+#[test]
+fn nondet_iter_flags_float_compound_assignment_only() {
+    let positive = lint_source(LIB_PATH, &fixture("nondet_iter_float_sum_positive.rs"));
+    assert!(
+        positive.iter().any(|f| f.rule == "nondet-iter" && f.message.contains("`+=`")),
+        "a hash-ordered `ll += ln_gamma(..)` must trip nondet-iter, got {positive:?}"
+    );
+    let negative = lint_source(LIB_PATH, &fixture("nondet_iter_int_count_negative.rs"));
+    assert!(negative.is_empty(), "integer counting must stay clean, got {negative:?}");
+}
+
 #[test]
 fn unseeded_rng_fixtures() {
     check_rule("unseeded-rng", "unseeded_rng");

@@ -28,7 +28,7 @@ use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
 use crate::lda::{estimate_phi, fold_in};
-use crate::model::{normalize, sample_discrete, TopicModel};
+use crate::model::{normalize, sample_discrete, TopicModel, WordTopicCounts};
 
 /// ATM hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,7 +84,7 @@ impl AtmModel {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut n_ak = vec![vec![0u32; k]; num_authors];
         let mut n_a = vec![0u32; num_authors];
-        let mut n_kw = vec![vec![0u32; v]; k];
+        let mut n_kw = WordTopicCounts::new(v, k);
         let mut n_k = vec![0u32; k];
         let mut z: Vec<Vec<usize>> = corpus
             .docs
@@ -96,7 +96,7 @@ impl AtmModel {
                         let t = rng.gen_range(0..k);
                         n_ak[a as usize][t] += 1;
                         n_a[a as usize] += 1;
-                        n_kw[t][w as usize] += 1;
+                        n_kw.inc(w, t);
                         n_k[t] += 1;
                         t
                     })
@@ -108,21 +108,22 @@ impl AtmModel {
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.atm");
             for (d, doc) in corpus.docs.iter().enumerate() {
-                let a = authors[d] as usize;
+                let (z_d, n_at) = (&mut z[d], &mut n_ak[authors[d] as usize]);
                 for (i, &w) in doc.iter().enumerate() {
-                    let old = z[d][i];
-                    n_ak[a][old] -= 1;
-                    n_kw[old][w as usize] -= 1;
+                    let old = z_d[i];
+                    n_at[old] -= 1;
+                    n_kw.dec(w, old);
                     n_k[old] -= 1;
-                    for (t, wt) in weights.iter_mut().enumerate() {
-                        *wt = (n_ak[a][t] as f64 + cfg.alpha)
-                            * (n_kw[t][w as usize] as f64 + cfg.beta)
-                            / (n_k[t] as f64 + vb);
+                    let row = n_kw.row(w);
+                    for (((wt, &nat), &nkw), &nk) in
+                        weights.iter_mut().zip(&*n_at).zip(row).zip(&n_k)
+                    {
+                        *wt = (nat as f64 + cfg.alpha) * (nkw as f64 + cfg.beta) / (nk as f64 + vb);
                     }
                     let new = sample_discrete(&mut rng, &weights);
-                    z[d][i] = new;
-                    n_ak[a][new] += 1;
-                    n_kw[new][w as usize] += 1;
+                    z_d[i] = new;
+                    n_at[new] += 1;
+                    n_kw.inc(w, new);
                     n_k[new] += 1;
                 }
             }

@@ -9,6 +9,10 @@
 //! Document distributions are not part of the generative process; they are
 //! recovered as `P(z|d) = Σ_b P(z|b) · P(b|d)` with `P(b|d)` the empirical
 //! biterm distribution of the document and `P(z|b) ∝ θ_z φ_z,w1 φ_z,w2`.
+//!
+//! The sampler keeps `n_zw` word-major (`model::WordTopicCounts`), so
+//! resampling a biterm reads the two contiguous rows of its words instead
+//! of two strided loads per topic.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +21,8 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::model::{normalize, sample_discrete, uniform, TopicModel};
+use crate::lda::estimate_phi;
+use crate::model::{normalize, sample_discrete, uniform, TopicModel, WordTopicCounts};
 
 /// BTM hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -81,38 +86,47 @@ impl BtmModel {
         let all: Vec<(TermId, TermId)> =
             corpus.docs.iter().flat_map(|d| biterms(d, cfg.window)).collect();
         let mut n_z = vec![0u32; k];
-        let mut n_zw = vec![vec![0u32; v]; k];
+        let mut n_zw = WordTopicCounts::new(v, k);
         let mut z: Vec<usize> = all
             .iter()
             .map(|&(w1, w2)| {
                 let t = rng.gen_range(0..k);
                 n_z[t] += 1;
-                n_zw[t][w1 as usize] += 1;
-                n_zw[t][w2 as usize] += 1;
+                n_zw.inc(w1, t);
+                n_zw.inc(w2, t);
                 t
             })
             .collect();
         let vb = v as f64 * cfg.beta;
+        // The topic-only factors of the weight, `nz + α` and
+        // `(2nz + vb)(2nz + 1 + vb)`, change only for the two topics a
+        // biterm leaves and joins; keep them per topic.
+        let factors = |nz: u32| {
+            let nz = nz as f64;
+            (nz + cfg.alpha, (2.0 * nz + vb) * (2.0 * nz + 1.0 + vb))
+        };
+        let mut topic: Vec<(f64, f64)> = n_z.iter().map(|&nz| factors(nz)).collect();
         let mut weights = vec![0.0f64; k];
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.btm");
             for (bi, &(w1, w2)) in all.iter().enumerate() {
                 let old = z[bi];
                 n_z[old] -= 1;
-                n_zw[old][w1 as usize] -= 1;
-                n_zw[old][w2 as usize] -= 1;
-                for (t, wt) in weights.iter_mut().enumerate() {
-                    let nz = n_z[t] as f64;
-                    *wt = (nz + cfg.alpha)
-                        * (n_zw[t][w1 as usize] as f64 + cfg.beta)
-                        * (n_zw[t][w2 as usize] as f64 + cfg.beta)
-                        / ((2.0 * nz + vb) * (2.0 * nz + 1.0 + vb));
+                topic[old] = factors(n_z[old]);
+                n_zw.dec(w1, old);
+                n_zw.dec(w2, old);
+                let (row1, row2) = (n_zw.row(w1), n_zw.row(w2));
+                for (((wt, &(num, den)), &c1), &c2) in
+                    weights.iter_mut().zip(&topic).zip(row1).zip(row2)
+                {
+                    *wt = num * (c1 as f64 + cfg.beta) * (c2 as f64 + cfg.beta) / den;
                 }
                 let new = sample_discrete(&mut rng, &weights);
                 z[bi] = new;
                 n_z[new] += 1;
-                n_zw[new][w1 as usize] += 1;
-                n_zw[new][w2 as usize] += 1;
+                topic[new] = factors(n_z[new]);
+                n_zw.inc(w1, new);
+                n_zw.inc(w2, new);
             }
         }
         let total_b = all.len() as f64;
@@ -121,14 +135,9 @@ impl BtmModel {
             .map(|&c| ((c as f64 + cfg.alpha) / (total_b + k as f64 * cfg.alpha)) as f32)
             .collect();
         normalize(&mut theta);
-        let phi = n_zw
-            .iter()
-            .zip(&n_z)
-            .map(|(row, &nz)| {
-                let denom = 2.0 * nz as f64 + vb;
-                row.iter().map(|&c| ((c as f64 + cfg.beta) / denom) as f32).collect()
-            })
-            .collect();
+        // Each biterm puts two words into its topic.
+        let words_per_topic: Vec<u32> = n_z.iter().map(|&nz| 2 * nz).collect();
+        let phi = estimate_phi(&n_zw, &words_per_topic, cfg.beta);
         BtmModel { phi, theta, window: cfg.window }
     }
 

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::model::{normalize, sample_discrete, uniform, TopicModel};
+use crate::model::{normalize, sample_discrete, term_counts, uniform, TopicModel, WordTopicCounts};
 
 /// DMM hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -69,7 +69,7 @@ impl DmmModel {
         let v = corpus.vocab_size().max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut m_k = vec![0u32; k];
-        let mut n_kw = vec![vec![0u32; v]; k];
+        let mut n_kw = WordTopicCounts::new(v, k);
         let mut n_k = vec![0u32; k];
         let mut z: Vec<usize> = corpus
             .docs
@@ -78,7 +78,7 @@ impl DmmModel {
                 let t = rng.gen_range(0..k);
                 m_k[t] += 1;
                 for &w in doc {
-                    n_kw[t][w as usize] += 1;
+                    n_kw.inc(w, t);
                 }
                 n_k[t] += doc.len() as u32;
                 t
@@ -91,22 +91,18 @@ impl DmmModel {
                 let old = z[d];
                 m_k[old] -= 1;
                 for &w in doc {
-                    n_kw[old][w as usize] -= 1;
+                    n_kw.dec(w, old);
                 }
                 n_k[old] -= doc.len() as u32;
-                // Per-document word counts.
-                let mut counts: std::collections::HashMap<TermId, u32> =
-                    std::collections::HashMap::new();
-                for &w in doc {
-                    *counts.entry(w).or_insert(0) += 1;
-                }
+                // Per-document word counts, in term order.
+                let counts = term_counts(doc.clone());
                 // Log-space cluster scores.
                 let scores: Vec<f64> = (0..k)
                     .map(|t| {
                         let mut s = (m_k[t] as f64 + cfg.alpha).ln();
-                        for (&w, &c) in &counts {
+                        for &(w, c) in &counts {
                             for j in 0..c {
-                                s += (n_kw[t][w as usize] as f64 + cfg.beta + j as f64).ln();
+                                s += (n_kw.get(w, t) as f64 + cfg.beta + j as f64).ln();
                             }
                         }
                         for i in 0..doc.len() {
@@ -121,7 +117,7 @@ impl DmmModel {
                 z[d] = new;
                 m_k[new] += 1;
                 for &w in doc {
-                    n_kw[new][w as usize] += 1;
+                    n_kw.inc(w, new);
                 }
                 n_k[new] += doc.len() as u32;
             }

@@ -18,7 +18,7 @@ use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
 use crate::lda::{estimate_phi, fold_in};
-use crate::model::{sample_discrete, TopicModel};
+use crate::model::{sample_discrete, TopicModel, WordTopicCounts};
 
 /// HDP hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -116,7 +116,7 @@ impl HdpModel {
         // Start from one topic; the sampler grows the set.
         let mut k = 1usize;
         let mut n_dk: Vec<Vec<u32>> = vec![vec![0; k]; corpus.len()];
-        let mut n_kw: Vec<Vec<u32>> = vec![vec![0; v]; k];
+        let mut n_kw = WordTopicCounts::new(v, k);
         let mut n_k: Vec<u32> = vec![0; k];
         // Global stick weights: (β_1 … β_K) plus the unseen mass β_u.
         let mut beta: Vec<f64> = vec![0.5, 0.5];
@@ -128,7 +128,7 @@ impl HdpModel {
                 doc.iter()
                     .map(|&w| {
                         n_dk[d][0] += 1;
-                        n_kw[0][w as usize] += 1;
+                        n_kw.inc(w, 0);
                         n_k[0] += 1;
                         0
                     })
@@ -136,24 +136,24 @@ impl HdpModel {
             })
             .collect();
         let ve = v as f64 * cfg.eta;
+        let mut weights: Vec<f64> = Vec::new();
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.hdp");
             for d in 0..corpus.len() {
                 #[allow(clippy::needless_range_loop)] // `i` indexes both the doc and `z`
                 for i in 0..corpus.docs[d].len() {
-                    let w = corpus.docs[d][i] as usize;
+                    let w = corpus.docs[d][i];
                     let old = z[d][i];
                     n_dk[d][old] -= 1;
-                    n_kw[old][w] -= 1;
+                    n_kw.dec(w, old);
                     n_k[old] -= 1;
                     // Weights over existing topics plus one "new topic" slot.
-                    let mut weights: Vec<f64> = (0..k)
-                        .map(|t| {
-                            (n_dk[d][t] as f64 + cfg.alpha * beta[t])
-                                * (n_kw[t][w] as f64 + cfg.eta)
-                                / (n_k[t] as f64 + ve)
-                        })
-                        .collect();
+                    let row = n_kw.row(w);
+                    weights.clear();
+                    weights.extend((0..k).map(|t| {
+                        (n_dk[d][t] as f64 + cfg.alpha * beta[t]) * (row[t] as f64 + cfg.eta)
+                            / (n_k[t] as f64 + ve)
+                    }));
                     let allow_new = k < cfg.max_topics;
                     if allow_new {
                         weights.push(cfg.alpha * beta[k] / v as f64);
@@ -172,13 +172,13 @@ impl HdpModel {
                         for row in n_dk.iter_mut() {
                             row.push(0);
                         }
-                        n_kw.push(vec![0; v]);
+                        n_kw.add_topic();
                         n_k.push(0);
                         k += 1;
                     }
                     z[d][i] = new;
                     n_dk[d][new] += 1;
-                    n_kw[new][w] += 1;
+                    n_kw.inc(w, new);
                     n_k[new] += 1;
                 }
             }
@@ -204,7 +204,7 @@ impl HdpModel {
             if keep.len() < k {
                 let remap: std::collections::HashMap<usize, usize> =
                     keep.iter().enumerate().map(|(new, &old)| (old, new)).collect();
-                n_kw = keep.iter().map(|&t| std::mem::take(&mut n_kw[t])).collect();
+                n_kw.retain_topics(&keep);
                 n_k = keep.iter().map(|&t| n_k[t]).collect();
                 let unseen = beta[k];
                 let dropped: f64 = (0..k).filter(|t| !remap.contains_key(t)).map(|t| beta[t]).sum();

@@ -19,6 +19,12 @@
 //!
 //! The paper runs HLDA only with user pooling and 3 levels (its other
 //! configurations violated the 5-day training cap — Table 4).
+//!
+//! Path resampling builds the document's per-level word counts once, as
+//! term-sorted `(word, count)` pairs, and scores every candidate against
+//! them, computing each tree node's likelihood once per document. Each
+//! level's log-likelihood therefore sums in term order, which no hash
+//! seed can change.
 
 use std::collections::HashMap;
 
@@ -29,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::model::{ln_gamma, normalize, sample_discrete, uniform, TopicModel};
+use crate::model::{ln_gamma, normalize, sample_discrete, term_counts, uniform, TopicModel};
 
 /// HLDA hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -221,18 +227,28 @@ impl<'a> Sampler<'a> {
         out.push((p, log_prior + lp));
     }
 
-    /// Dirichlet-multinomial log likelihood of the document's level-`l`
-    /// words under `node` (or an empty new node for `usize::MAX`).
-    fn level_likelihood(&self, d: usize, l: usize, node: usize) -> f64 {
-        // Gather the document's level-l word counts.
-        let mut local: HashMap<TermId, u32> = HashMap::new();
-        let mut n_dl = 0u32;
-        for (i, &w) in self.corpus.docs[d].iter().enumerate() {
-            if self.levels_z[d][i] == l {
-                *local.entry(w).or_insert(0) += 1;
-                n_dl += 1;
-            }
-        }
+    /// Document `d`'s words at each level, as term-sorted `(word, count)`
+    /// pairs plus the level's token count `n_dl`.
+    fn level_words(&self, d: usize) -> Vec<(Vec<(TermId, u32)>, u32)> {
+        (0..self.cfg.levels)
+            .map(|l| {
+                let words: Vec<TermId> = self.corpus.docs[d]
+                    .iter()
+                    .zip(&self.levels_z[d])
+                    .filter(|&(_, &z)| z == l)
+                    .map(|(&w, _)| w)
+                    .collect();
+                let n_dl = words.len() as u32;
+                (term_counts(words), n_dl)
+            })
+            .collect()
+    }
+
+    /// Dirichlet-multinomial log likelihood of one level's words (from
+    /// [`Sampler::level_words`]) under `node` (or an empty new node for
+    /// `usize::MAX`). The sum runs in term order, so it does not depend
+    /// on any hash seed.
+    fn level_likelihood(&self, words: &[(TermId, u32)], n_dl: u32, node: usize) -> f64 {
         if n_dl == 0 {
             return 0.0;
         }
@@ -245,7 +261,7 @@ impl<'a> Sampler<'a> {
         };
         let mut ll = ln_gamma(node_total as f64 + v * eta)
             - ln_gamma(node_total as f64 + n_dl as f64 + v * eta);
-        for (&w, &c) in &local {
+        for &(w, c) in words {
             let base = node_count.and_then(|m| m.get(&w)).copied().unwrap_or(0) as f64;
             ll += ln_gamma(base + c as f64 + eta) - ln_gamma(base + eta);
         }
@@ -264,12 +280,22 @@ impl<'a> Sampler<'a> {
         self.detach(d);
         let mut cands = Vec::new();
         self.candidate_paths(self.root, &mut vec![self.root], &mut cands, 0.0);
+        // The document's level words do not depend on the candidate: build
+        // them once. Candidates share nodes, so each node's (and each
+        // level's new node's) likelihood is computed once too.
+        let level_words = self.level_words(d);
+        let mut node_ll: Vec<Option<f64>> = vec![None; self.nodes.len()];
+        let mut new_ll: Vec<Option<f64>> = vec![None; self.cfg.levels];
         let scores: Vec<f64> = cands
             .iter()
             .map(|(path, log_prior)| {
                 let mut s = *log_prior;
                 for (l, &node) in path.iter().enumerate().skip(1) {
-                    s += self.level_likelihood(d, l, node);
+                    let memo = if node == usize::MAX { &mut new_ll[l] } else { &mut node_ll[node] };
+                    s += *memo.get_or_insert_with(|| {
+                        let (words, n_dl) = &level_words[l];
+                        self.level_likelihood(words, *n_dl, node)
+                    });
                 }
                 // Level-0 words always live at the shared root; their
                 // likelihood is path-independent and cancels.

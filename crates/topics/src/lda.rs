@@ -9,6 +9,11 @@
 //!
 //! The paper estimates all topic models with Gibbs sampling (§3.2) and tunes
 //! α = 50/|Z|, β = 0.01 per Steyvers & Griffiths 2007 (Table 4).
+//!
+//! The counts `n_kw` are word-major (`model::WordTopicCounts`): the K-loop
+//! over a token reads one contiguous row of its word. `estimate_phi` turns
+//! such counts into φ for every dense-count trainer (LDA, LLDA, BTM, HDP,
+//! ATM, DMM).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
-use crate::model::{normalize, sample_discrete, uniform, TopicModel};
+use crate::model::{normalize, sample_discrete, uniform, TopicModel, WordTopicCounts};
 
 /// LDA hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -78,7 +83,7 @@ impl LdaModel {
         let v = corpus.vocab_size().max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut n_dk = vec![vec![0u32; k]; corpus.len()];
-        let mut n_kw = vec![vec![0u32; v]; k];
+        let mut n_kw = WordTopicCounts::new(v, k);
         let mut n_k = vec![0u32; k];
         // Random initialization.
         let mut z: Vec<Vec<usize>> = corpus
@@ -90,7 +95,7 @@ impl LdaModel {
                     .map(|&w| {
                         let t = rng.gen_range(0..k);
                         n_dk[d][t] += 1;
-                        n_kw[t][w as usize] += 1;
+                        n_kw.inc(w, t);
                         n_k[t] += 1;
                         t
                     })
@@ -102,20 +107,22 @@ impl LdaModel {
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.lda");
             for (d, doc) in corpus.docs.iter().enumerate() {
+                let (z_d, n_d) = (&mut z[d], &mut n_dk[d]);
                 for (i, &w) in doc.iter().enumerate() {
-                    let old = z[d][i];
-                    n_dk[d][old] -= 1;
-                    n_kw[old][w as usize] -= 1;
+                    let old = z_d[i];
+                    n_d[old] -= 1;
+                    n_kw.dec(w, old);
                     n_k[old] -= 1;
-                    for (t, wt) in weights.iter_mut().enumerate() {
-                        *wt = (n_dk[d][t] as f64 + cfg.alpha)
-                            * (n_kw[t][w as usize] as f64 + cfg.beta)
-                            / (n_k[t] as f64 + vb);
+                    let row = n_kw.row(w);
+                    for (((wt, &ndt), &nkw), &nk) in
+                        weights.iter_mut().zip(&*n_d).zip(row).zip(&n_k)
+                    {
+                        *wt = (ndt as f64 + cfg.alpha) * (nkw as f64 + cfg.beta) / (nk as f64 + vb);
                     }
                     let new = sample_discrete(&mut rng, &weights);
-                    z[d][i] = new;
-                    n_dk[d][new] += 1;
-                    n_kw[new][w as usize] += 1;
+                    z_d[i] = new;
+                    n_d[new] += 1;
+                    n_kw.inc(w, new);
                     n_k[new] += 1;
                 }
             }
@@ -141,14 +148,16 @@ impl LdaModel {
     }
 }
 
-/// Smoothed maximum-likelihood estimate of φ from Gibbs counts.
-pub(crate) fn estimate_phi(n_kw: &[Vec<u32>], n_k: &[u32], beta: f64) -> Vec<Vec<f32>> {
-    let v = n_kw.first().map_or(0, Vec::len);
-    n_kw.iter()
-        .zip(n_k)
-        .map(|(row, &nk)| {
+/// Smoothed maximum-likelihood estimate of φ from Gibbs counts: `n_k[t]`
+/// is the number of words assigned to topic `t`.
+pub(crate) fn estimate_phi(n_kw: &WordTopicCounts, n_k: &[u32], beta: f64) -> Vec<Vec<f32>> {
+    debug_assert_eq!(n_k.len(), n_kw.topics());
+    let v = n_kw.vocab_size();
+    n_k.iter()
+        .enumerate()
+        .map(|(t, &nk)| {
             let denom = nk as f64 + v as f64 * beta;
-            row.iter().map(|&c| ((c as f64 + beta) / denom) as f32).collect()
+            (0..v as TermId).map(|w| ((n_kw.get(w, t) as f64 + beta) / denom) as f32).collect()
         })
         .collect()
 }

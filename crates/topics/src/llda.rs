@@ -16,7 +16,7 @@ use pmr_text::vocab::TermId;
 
 use crate::corpus::TopicCorpus;
 use crate::lda::{estimate_phi, fold_in};
-use crate::model::{sample_discrete, TopicModel};
+use crate::model::{sample_discrete, TopicModel, WordTopicCounts};
 
 /// Labeled-LDA hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -92,7 +92,7 @@ impl LldaModel {
             })
             .collect();
         let mut n_dk = vec![vec![0u32; k]; corpus.len()];
-        let mut n_kw = vec![vec![0u32; v]; k];
+        let mut n_kw = WordTopicCounts::new(v, k);
         let mut n_k = vec![0u32; k];
         let mut z: Vec<Vec<usize>> = corpus
             .docs
@@ -103,7 +103,7 @@ impl LldaModel {
                     .map(|&w| {
                         let t = allowed[d][rng.gen_range(0..allowed[d].len())];
                         n_dk[d][t] += 1;
-                        n_kw[t][w as usize] += 1;
+                        n_kw.inc(w, t);
                         n_k[t] += 1;
                         t
                     })
@@ -111,25 +111,27 @@ impl LldaModel {
             })
             .collect();
         let vb = v as f64 * cfg.beta;
+        let mut weights_k = vec![0.0f64; k];
         for _ in 0..cfg.iterations {
             let _iter = pmr_obs::timer("gibbs_iter.llda");
             for (d, doc) in corpus.docs.iter().enumerate() {
                 let a = &allowed[d];
-                let mut weights = vec![0.0f64; a.len()];
+                let weights = &mut weights_k[..a.len()];
+                let (z_d, n_d) = (&mut z[d], &mut n_dk[d]);
                 for (i, &w) in doc.iter().enumerate() {
-                    let old = z[d][i];
-                    n_dk[d][old] -= 1;
-                    n_kw[old][w as usize] -= 1;
+                    let old = z_d[i];
+                    n_d[old] -= 1;
+                    n_kw.dec(w, old);
                     n_k[old] -= 1;
-                    for (ai, &t) in a.iter().enumerate() {
-                        weights[ai] = (n_dk[d][t] as f64 + cfg.alpha)
-                            * (n_kw[t][w as usize] as f64 + cfg.beta)
+                    let row = n_kw.row(w);
+                    for (wt, &t) in weights.iter_mut().zip(a) {
+                        *wt = (n_d[t] as f64 + cfg.alpha) * (row[t] as f64 + cfg.beta)
                             / (n_k[t] as f64 + vb);
                     }
-                    let new = a[sample_discrete(&mut rng, &weights)];
-                    z[d][i] = new;
-                    n_dk[d][new] += 1;
-                    n_kw[new][w as usize] += 1;
+                    let new = a[sample_discrete(&mut rng, weights)];
+                    z_d[i] = new;
+                    n_d[new] += 1;
+                    n_kw.inc(w, new);
                     n_k[new] += 1;
                 }
             }

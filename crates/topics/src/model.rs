@@ -88,6 +88,89 @@ pub(crate) fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
+/// Topic–word counts of a collapsed Gibbs sampler in word-major layout:
+/// the counts of word `w` over all `k` topics are one contiguous row, so a
+/// sampler's K-loop over one token reads a single slice instead of `k`
+/// strided loads.
+///
+/// Each row is its own allocation of `k` counts. One table-sized block of
+/// megabytes would lift the allocator's mmap threshold when freed, after
+/// which later tables stay resident in its arenas and the process's peak
+/// RSS rises.
+#[derive(Debug, Clone)]
+pub(crate) struct WordTopicCounts {
+    k: usize,
+    rows: Vec<Vec<u32>>,
+}
+
+impl WordTopicCounts {
+    /// All-zero counts for `vocab` words over `k` topics.
+    pub(crate) fn new(vocab: usize, k: usize) -> Self {
+        WordTopicCounts { k, rows: vec![vec![0; k]; vocab] }
+    }
+
+    /// Vocabulary size `V`.
+    pub(crate) fn vocab_size(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Number of topics `k`.
+    pub(crate) fn topics(&self) -> usize {
+        self.k
+    }
+
+    /// The `k` topic counts of word `w`.
+    pub(crate) fn row(&self, w: TermId) -> &[u32] {
+        &self.rows[w as usize]
+    }
+
+    /// The count of word `w` in topic `t`.
+    pub(crate) fn get(&self, w: TermId, t: usize) -> u32 {
+        self.rows[w as usize][t]
+    }
+
+    pub(crate) fn inc(&mut self, w: TermId, t: usize) {
+        self.rows[w as usize][t] += 1;
+    }
+
+    pub(crate) fn dec(&mut self, w: TermId, t: usize) {
+        self.rows[w as usize][t] -= 1;
+    }
+
+    /// Append an empty topic `k`.
+    pub(crate) fn add_topic(&mut self) {
+        for row in &mut self.rows {
+            row.push(0);
+        }
+        self.k += 1;
+    }
+
+    /// Keep only topics `keep` (ascending), renumbered `0..keep.len()`.
+    pub(crate) fn retain_topics(&mut self, keep: &[usize]) {
+        for row in &mut self.rows {
+            for (new, &old) in keep.iter().enumerate() {
+                row[new] = row[old];
+            }
+            row.truncate(keep.len());
+        }
+        self.k = keep.len();
+    }
+}
+
+/// The distinct words of a token multiset with their counts, sorted by
+/// term: the canonical order for float sums over a document's words.
+pub(crate) fn term_counts(mut words: Vec<TermId>) -> Vec<(TermId, u32)> {
+    words.sort_unstable();
+    let mut out: Vec<(TermId, u32)> = Vec::new();
+    for w in words {
+        match out.last_mut() {
+            Some((last, c)) if *last == w => *c += 1,
+            _ => out.push((w, 1)),
+        }
+    }
+    out
+}
+
 /// Argmax helper shared by the model test suites.
 #[cfg(test)]
 pub(crate) fn argmax(v: &[f32]) -> usize {
@@ -142,6 +225,32 @@ mod tests {
     fn uniform_sums_to_one() {
         let u = uniform(7);
         assert!((u.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn term_counts_are_sorted_run_lengths() {
+        assert_eq!(term_counts(vec![7, 2, 7, 7, 0, 2]), vec![(0, 1), (2, 2), (7, 3)]);
+        assert!(term_counts(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn word_topic_counts_survive_topic_birth_and_compaction() {
+        let mut c = WordTopicCounts::new(3, 1);
+        c.inc(2, 0);
+        for t in 1..5 {
+            c.add_topic();
+            c.inc(t as TermId % 3, t);
+        }
+        assert_eq!(c.topics(), 5);
+        assert_eq!(c.row(1), &[0, 1, 0, 0, 1]);
+        assert_eq!(c.row(2), &[1, 0, 1, 0, 0]);
+        c.retain_topics(&[0, 2, 4]);
+        assert_eq!(c.row(1), &[0, 0, 1]);
+        assert_eq!(c.row(2), &[1, 1, 0]);
+        c.add_topic();
+        assert_eq!(c.row(2), &[1, 1, 0, 0], "a reborn topic starts empty");
+        c.dec(2, 1);
+        assert_eq!(c.get(2, 1), 0);
     }
 
     #[test]
