@@ -10,9 +10,10 @@
 //! `pmr-serve` with `k = window`, so every answered query logs the user's
 //! *entire* eligible candidate window with its online scores. It then
 //! re-ranks the exact same candidate sets with a batch oracle — the same
-//! incremental model type fed every original the user ever retweeted, with
-//! no decay (for topic: the epoch-0 background, whose equivalence to batch
-//! fold-in is pinned by a proptest in `pmr_core::incremental`) — and
+//! online model type the shards run, fed every original the user ever
+//! retweeted, with no decay (for topic: the epoch-0 background, whose
+//! equivalence to batch fold-in is pinned by a proptest in
+//! `tests/online_models.rs`) — and
 //! reports both MAPs plus their difference. Relevance for a query at time
 //! `now` is "the queried user retweets this original at a timestamp
 //! strictly after `now`", the same future-retweet criterion the offline

@@ -46,19 +46,10 @@ use serde::Serialize;
 use pmr_bench::Scale;
 use pmr_core::{PreparedCorpus, SplitConfig};
 use pmr_serve::{
-    precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Replay, ReplayOptions,
-    RuntimeOptions, ServeModel, TweetFeatures,
+    precompute_features, rec_log, Engine, EngineConfig, EngineSnapshot, Op, Replay, ReplayOptions,
+    RuntimeOptions, ServeModel, StreamDriver, TweetFeatures,
 };
-use pmr_sim::{generate_corpus, SimConfig, Timestamp, TweetId, UserId};
-
-/// One engine operation, flattened from the replay's event semantics so
-/// arrivals can be paced individually (a single stream event fans out to
-/// many operations).
-enum Op {
-    Candidate { user: UserId, tweet: TweetId, at: Timestamp, features: Arc<TweetFeatures> },
-    Observe { user: UserId, features: Arc<TweetFeatures> },
-    Query { user: UserId, at: Timestamp },
-}
+use pmr_sim::{generate_corpus, SimConfig};
 
 #[derive(Debug, Serialize)]
 struct LatencySummary {
@@ -230,10 +221,6 @@ fn main() {
     let corpus = generate_corpus(&SimConfig::preset(scale.preset(), seed));
     let prepared =
         PreparedCorpus::new(corpus, SplitConfig::default()).expect("corpus is well-formed");
-    let features = precompute_features(&prepared, serve_model, workers.max(1));
-    let (ops, stream_events) = build_ops(&prepared, &features, query_every);
-    assert!(!ops.is_empty(), "the corpus must produce at least one operation");
-
     // The determinism reference: an uninterrupted Replay under an
     // arbitrary layout. Every leg below must replicate its rec log.
     let replay_options = ReplayOptions {
@@ -243,6 +230,9 @@ fn main() {
         query_every,
         jobs: 1,
     };
+    let features = precompute_features(&prepared, serve_model, workers.max(1));
+    let (ops, stream_events) = build_ops(&prepared, &features, &replay_options);
+    assert!(!ops.is_empty(), "the corpus must produce at least one operation");
     let reference = Replay::run(&prepared, replay_options);
     let reference_log = rec_log(&reference.recommendations).expect("log serializes");
     assert!(reference.queries > 0, "the stream must issue queries");
@@ -266,7 +256,7 @@ fn main() {
     for _ in 0..5 {
         for (slot, &leg_shards) in layouts.iter().enumerate() {
             let runtime = RuntimeOptions { shards: leg_shards, workers, queue_capacity: queue };
-            let (elapsed, metrics, recs) = drive(config, runtime, &ops, None, k);
+            let (elapsed, metrics, recs) = drive(config, runtime, &ops, None);
             check_log(&format!("capacity at {leg_shards} shards"), &recs);
             if best[slot].as_ref().is_none_or(|(b, _)| elapsed < *b) {
                 best[slot] = Some((elapsed, metrics));
@@ -306,7 +296,7 @@ fn main() {
     for scenario in ["poisson", "storm", "herd"] {
         let schedule = build_schedule(scenario, ops.len(), rate, burst, seed);
         let runtime = RuntimeOptions { shards, workers, queue_capacity: queue };
-        let (elapsed, metrics, recs) = drive(config, runtime, &ops, Some(&schedule), k);
+        let (elapsed, metrics, recs) = drive(config, runtime, &ops, Some(&schedule));
         check_log(scenario, &recs);
         let buckets = backpressure_buckets(&metrics);
         let leg = ScenarioLeg {
@@ -377,41 +367,21 @@ fn main() {
 }
 
 /// Flatten the corpus's event stream into the exact operation sequence
-/// [`Replay::run_to`] would issue: originals fan out to the author's
-/// followers, retweets observe the original and fan it out to the
-/// reposter's audience, and every `query_every` events the next evaluated
-/// user (round-robin) is queried. Identical order → identical rec log.
+/// [`Replay::run_to`] issues, through the same [`StreamDriver`] rule over
+/// the same precomputed features. Identical order → identical rec log.
 fn build_ops(
     prepared: &PreparedCorpus,
     features: &[Option<Arc<TweetFeatures>>],
-    query_every: usize,
+    options: &ReplayOptions,
 ) -> (Vec<Op>, usize) {
-    let stream = prepared.corpus.event_stream();
-    let eval_users: Vec<UserId> = prepared.corpus.evaluated_user_ids().collect();
+    let corpus = &prepared.corpus;
+    let stream = corpus.event_stream();
+    let mut driver = StreamDriver::new(options, corpus.evaluated_user_ids().collect());
     let mut ops = Vec::new();
-    let mut queries = 0usize;
-    let fan_out = |ops: &mut Vec<Op>, author: UserId, tweet: TweetId, at: Timestamp| {
-        if let Some(f) = features[tweet.index()].clone() {
-            for &follower in prepared.corpus.graph.followers(author) {
-                ops.push(Op::Candidate { user: follower, tweet, at, features: Arc::clone(&f) });
-            }
-        }
-    };
-    for (i, event) in stream.iter().enumerate() {
-        match event.retweet_of {
-            None => fan_out(&mut ops, event.author, event.tweet, event.at),
-            Some(original) => {
-                if let Some(f) = features[original.index()].clone() {
-                    ops.push(Op::Observe { user: event.author, features: f });
-                }
-                fan_out(&mut ops, event.author, original, event.at);
-            }
-        }
-        if query_every > 0 && (i + 1).is_multiple_of(query_every) && !eval_users.is_empty() {
-            let user = eval_users[queries % eval_users.len()];
-            ops.push(Op::Query { user, at: event.at });
-            queries += 1;
-        }
+    for event in &stream {
+        let original = event.retweet_of.unwrap_or(event.tweet);
+        let followers = corpus.graph.followers(event.author);
+        driver.event(event, features[original.index()].as_ref(), followers, |op| ops.push(op));
     }
     (ops, stream.len())
 }
@@ -469,7 +439,6 @@ fn drive(
     runtime: RuntimeOptions,
     ops: &[Op],
     schedule: Option<&[Duration]>,
-    k: usize,
 ) -> (Duration, pmr_obs::MetricsSnapshot, Vec<pmr_serve::Recommendation>) {
     pmr_obs::install(pmr_obs::Recorder::monotonic());
     let mut engine = Engine::start(config, runtime);
@@ -505,27 +474,16 @@ fn drive(
             // degenerates to pure service/backpressure time.
             None => Instant::now(),
         };
-        match op {
-            Op::Candidate { user, tweet, at, features } => {
-                engine.post_candidate(*user, *tweet, *at, features);
-                pmr_obs::observe_duration(
-                    "load.ingest",
-                    Instant::now().saturating_duration_since(arrival),
-                );
-            }
-            Op::Observe { user, features } => {
-                engine.observe(*user, features);
-                pmr_obs::observe_duration(
-                    "load.ingest",
-                    Instant::now().saturating_duration_since(arrival),
-                );
-            }
-            Op::Query { user, at } => {
-                let id = engine.query(*user, k, *at);
+        match engine.apply(op) {
+            Some(id) => {
                 debug_assert_eq!(id as usize, query_arrivals.len());
                 query_arrivals.push(arrival);
                 record_answers(&mut engine, &query_arrivals, &mut answered);
             }
+            None => pmr_obs::observe_duration(
+                "load.ingest",
+                Instant::now().saturating_duration_since(arrival),
+            ),
         }
         if i % 256 == 0 {
             record_answers(&mut engine, &query_arrivals, &mut answered);

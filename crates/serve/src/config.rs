@@ -16,9 +16,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Mirrors the batch study's incremental-friendly families (§3.2): the
 /// decayed bag centroid, the n-gram graph with its running-average update
-/// operator, and — via [`pmr_topics::OnlineTopicModel`] — the topic family,
-/// serving new documents by deterministic fold-in Gibbs inference against a
-/// periodically retrained background model instead of refitting the full
+/// operator, and the topic family, serving new documents by deterministic
+/// fold-in Gibbs inference against a periodically retrained background
+/// model ([`pmr_topics::TopicBackground`]) instead of refitting the full
 /// sampler per document.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ServeModel {
@@ -45,7 +45,7 @@ pub enum ServeModel {
         /// Gram order (also the graph's co-occurrence window).
         n: usize,
     },
-    /// Decayed per-user topic profile ([`pmr_topics::OnlineTopicModel`])
+    /// Decayed per-user topic profile ([`pmr_topics::TopicProfile`])
     /// over fold-in θ distributions against a shared background LDA model,
     /// scored with cosine. Always token unigrams — the topic vocabulary is
     /// the corpus's token space.

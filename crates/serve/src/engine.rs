@@ -1,9 +1,10 @@
 //! The serving engine: shard lifecycle, ingest fan-out, query collection
 //! and snapshot orchestration.
 //!
-//! The engine is single-writer: one thread (the replay driver, or any
-//! caller) pushes candidates, observations and queries; the work-stealing
-//! [`crate::runtime::ShardRuntime`] applies them on its worker threads.
+//! The engine is single-writer: one thread (a [`crate::StreamDriver`]
+//! caller, or any other) pushes candidates, observations and queries; the
+//! work-stealing [`crate::runtime::ShardRuntime`] applies them on its
+//! worker threads.
 //! Shard mailboxes are **bounded** — when a shard falls behind, the writer
 //! blocks on that shard's mailbox after bumping the `serve.backpressure`
 //! counters, so memory stays flat under any load imbalance instead of
@@ -26,6 +27,18 @@ use crate::config::{EngineConfig, RuntimeOptions};
 use crate::runtime::ShardRuntime;
 use crate::shard::{Recommendation, ShardMsg, ShardReply, TweetFeatures, UserState};
 use crate::snapshot::{EngineSnapshot, SnapshotHeader, SNAPSHOT_VERSION};
+
+/// One engine call, as [`crate::StreamDriver`] emits them and
+/// [`Engine::apply`] issues them.
+#[derive(Debug)]
+pub enum Op {
+    /// [`Engine::post_candidate`].
+    Candidate { user: UserId, tweet: TweetId, at: Timestamp, features: Arc<TweetFeatures> },
+    /// [`Engine::observe`].
+    Observe { user: UserId, features: Arc<TweetFeatures> },
+    /// [`Engine::query`].
+    Query { user: UserId, k: usize, at: Timestamp },
+}
 
 /// A running sharded serving engine.
 pub struct Engine {
@@ -193,6 +206,21 @@ impl Engine {
         // on long replays.
         self.drain_ready();
         id
+    }
+
+    /// Issue one [`Op`]; returns the query id when `op` is a query.
+    pub fn apply(&mut self, op: &Op) -> Option<u64> {
+        match op {
+            Op::Candidate { user, tweet, at, features } => {
+                self.post_candidate(*user, *tweet, *at, features);
+                None
+            }
+            Op::Observe { user, features } => {
+                self.observe(*user, features);
+                None
+            }
+            Op::Query { user, k, at } => Some(self.query(*user, *k, *at)),
+        }
     }
 
     /// Queries issued so far (= the next query id).

@@ -16,11 +16,8 @@
 //!   (for a retweet, from the carried original text), so peak memory is
 //!   one window of rendered chunks rather than a corpus-wide feature
 //!   table;
-//! * the engine calls per event are the same as replay's: originals fan
-//!   out to the author's followers, retweets are observed by the reposter
-//!   and fan the *original* out to the reposter's audience, and every
-//!   `query_every` events the next evaluated user (round-robin) is asked
-//!   for their top-k.
+//! * each event then goes through the same [`StreamDriver`] rule as
+//!   replay, with follower lists from the generator's graph.
 //!
 //! **Model restrictions.** Graph models and TF/BF bag models are
 //! streamable. A TF/BF bag vector depends only on the document itself plus
@@ -36,11 +33,13 @@
 //!
 //! **Featurization difference vs. replay.** Replay's token grams pass
 //! through the corpus-fitted stop-word filter
-//! ([`pmr_core::PreparedCorpus`]); a streaming consumer has no corpus to
-//! fit that filter on, so token grams here are built from the unfiltered
-//! token stream. Char grams (`char_grams: true`) are computed identically
-//! in both paths — lower-cased raw text — which is what the
-//! ingest-vs-replay equivalence tests (graph *and* bag) pin.
+//! ([`pmr_core::PreparedCorpus::stopwords`]); a streaming consumer has no
+//! corpus to fit that filter on, so token grams here are built from the
+//! unfiltered token stream. That filter is the *only* difference: a test
+//! pins that stop-filtering the streamed tokens reproduces replay's token
+//! grams exactly, and that char grams (`char_grams: true`, lower-cased raw
+//! text) agree unfiltered — which is why the ingest-vs-replay
+//! equivalence tests (graph *and* bag) use char grams.
 
 use std::sync::Arc;
 
@@ -48,58 +47,19 @@ use pmr_bag::{weigh_runs, SparseVector, WeightingScheme};
 use pmr_core::executor::run_tasks;
 use pmr_core::{PmrError, PmrResult};
 use pmr_sim::scale::IngestRecord;
-use pmr_sim::{StreamGenerator, UserId};
+use pmr_sim::StreamGenerator;
 use pmr_text::vocab::{TermId, Vocabulary};
 use pmr_text::{char_ngrams, token_ngrams, Tokenizer};
 
-use crate::config::{EngineConfig, RuntimeOptions, ServeModel};
+use crate::config::ServeModel;
+use crate::driver::StreamDriver;
 use crate::engine::Engine;
-use crate::shard::{Recommendation, TweetFeatures};
+use crate::replay::{ReplayOptions, ReplayOutcome};
+use crate::shard::TweetFeatures;
 
-/// Everything a streaming ingest run needs beyond the generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IngestOptions {
-    /// The engine's semantic configuration (graph models only).
-    pub config: EngineConfig,
-    /// Shard and queue sizing (must not affect output).
-    pub runtime: RuntimeOptions,
-    /// Top-k size of issued queries.
-    pub k: usize,
-    /// Issue one query every this many events (0 disables querying).
-    pub query_every: usize,
-    /// Worker threads rendering + featurizing chunks (must not affect
-    /// output).
-    pub jobs: usize,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions {
-            config: EngineConfig {
-                model: ServeModel::Graph {
-                    similarity: pmr_graph::GraphSimilarity::Value,
-                    char_grams: true,
-                    n: 3,
-                },
-                window: 128,
-            },
-            runtime: RuntimeOptions::default(),
-            k: 10,
-            query_every: 25,
-            jobs: 1,
-        }
-    }
-}
-
-/// The result of a completed streaming ingest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IngestOutcome {
-    /// Every answered query, in query-id order.
-    pub recommendations: Vec<Recommendation>,
-    /// Stream events ingested.
-    pub events: u64,
-    /// Queries issued.
-    pub queries: u64,
+/// The unfiltered token texts of one tweet: the token-gram input.
+fn stream_tokens(text: &str) -> Vec<String> {
+    Tokenizer::default().tokenize(text).into_iter().map(|t| t.text).collect()
 }
 
 /// Gram surface forms of one tweet text under a serving model's alphabet.
@@ -107,9 +67,7 @@ fn extract_grams(model: ServeModel, text: &str) -> Vec<String> {
     if model.char_grams() {
         char_ngrams(&text.to_lowercase(), model.n())
     } else {
-        let tokens: Vec<String> =
-            Tokenizer::default().tokenize(text).into_iter().map(|t| t.text).collect();
-        token_ngrams(&tokens, model.n())
+        token_ngrams(&stream_tokens(text), model.n())
     }
 }
 
@@ -157,8 +115,9 @@ impl StreamBagVectorizer {
 
 /// Drive `gen`'s full event stream through a fresh engine and collect the
 /// recommendations. Output is a pure function of the generator and
-/// [`EngineConfig`]; `jobs`, `shards` and `queue_capacity` are mechanical.
-pub fn ingest_stream(gen: &StreamGenerator, options: IngestOptions) -> PmrResult<IngestOutcome> {
+/// [`crate::EngineConfig`]; `jobs`, `shards` and `queue_capacity` are
+/// mechanical.
+pub fn ingest_stream(gen: &StreamGenerator, options: ReplayOptions) -> PmrResult<ReplayOutcome> {
     let model = options.config.model;
     if matches!(model, ServeModel::Bag { weighting: WeightingScheme::TFIDF, .. }) {
         return Err(PmrError::invariant(
@@ -177,10 +136,9 @@ pub fn ingest_stream(gen: &StreamGenerator, options: IngestOptions) -> PmrResult
         _ => None,
     };
     let followers = gen.build_followers();
-    let eval_users: Vec<UserId> = gen.evaluated_user_ids().collect();
+    let mut driver = StreamDriver::new(&options, gen.evaluated_user_ids().collect());
     let jobs = options.jobs.max(1);
     let mut engine = Engine::start(options.config, options.runtime);
-    let mut position = 0usize;
 
     let num_chunks = gen.num_chunks();
     let mut window_start = 0usize;
@@ -218,45 +176,21 @@ pub fn ingest_stream(gen: &StreamGenerator, options: IngestOptions) -> PmrResult
                 }
                 None => TweetFeatures::Graph(grams),
             });
-            pmr_obs::counter_add("serve.events", 1);
-            match event.retweet_of {
-                None => {
-                    for &follower in &followers[event.author.index()] {
-                        engine.post_candidate(follower, event.tweet, event.at, &features);
-                    }
-                }
-                Some(original) => {
-                    // `features` is the original's (built from the carried
-                    // origin text); the repost surfaces the original to the
-                    // reposter's audience at the repost's time.
-                    engine.observe(event.author, &features);
-                    for &follower in &followers[event.author.index()] {
-                        engine.post_candidate(follower, original, event.at, &features);
-                    }
-                }
-            }
-            position += 1;
-            if options.query_every > 0
-                && position.is_multiple_of(options.query_every)
-                && !eval_users.is_empty()
-            {
-                let issued = engine.queries_issued() as usize;
-                let user = eval_users[issued % eval_users.len()];
-                engine.query(user, options.k, event.at);
-            }
+            driver.event(&event, Some(&features), &followers[event.author.index()], |op| {
+                engine.apply(&op);
+            });
         }
     }
 
-    let queries = engine.queries_issued();
-    let recommendations = engine.finish();
-    Ok(IngestOutcome { recommendations, events: position as u64, queries })
+    Ok(ReplayOutcome::finish(engine, &driver))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{rec_log, Replay, ReplayOptions};
-    use pmr_core::{PreparedCorpus, SplitConfig};
+    use crate::config::{EngineConfig, RuntimeOptions};
+    use crate::replay::{rec_log, Replay};
+    use pmr_core::{GramKind, PreparedCorpus, SplitConfig};
     use pmr_sim::ScaleConfig;
 
     fn graph_config() -> EngineConfig {
@@ -274,8 +208,41 @@ mod tests {
         StreamGenerator::plan(ScaleConfig::smoke(seed))
     }
 
-    fn run(gen: &StreamGenerator, options: IngestOptions) -> IngestOutcome {
+    fn run(gen: &StreamGenerator, options: ReplayOptions) -> ReplayOutcome {
         ingest_stream(gen, options).expect("streamable model ingest succeeds")
+    }
+
+    /// Stream `config` through `ingest_stream` and replay it over the
+    /// materialized corpus: the logs must be byte-identical.
+    fn assert_ingest_matches_replay(config: EngineConfig) {
+        let gen = smoke_gen(42);
+        let options = ReplayOptions { config, jobs: 2, ..ReplayOptions::default() };
+        let streamed = run(&gen, options);
+        let prepared = PreparedCorpus::new(gen.materialize(), SplitConfig::default())
+            .expect("materialized corpus is well-formed");
+        let replayed = Replay::run(&prepared, ReplayOptions { jobs: 1, ..options });
+        assert_eq!(streamed.events, replayed.events);
+        assert_eq!(streamed.queries, replayed.queries);
+        assert!(streamed.queries > 0);
+        assert_eq!(
+            rec_log(&streamed.recommendations).unwrap(),
+            rec_log(&replayed.recommendations).unwrap()
+        );
+    }
+
+    /// Run `base` under 1 and 4 shards with a small queue: the logs must
+    /// be byte-identical.
+    fn assert_layout_free(gen: &StreamGenerator, base: ReplayOptions) {
+        let logs: Vec<String> = [1, 4]
+            .into_iter()
+            .map(|shards| {
+                let runtime = RuntimeOptions { shards, queue_capacity: 64, ..base.runtime };
+                let outcome = run(gen, ReplayOptions { runtime, ..base });
+                assert!(outcome.queries > 0);
+                rec_log(&outcome.recommendations).unwrap()
+            })
+            .collect();
+        assert_eq!(logs[0], logs[1]);
     }
 
     fn bag_config(weighting: WeightingScheme) -> EngineConfig {
@@ -294,12 +261,12 @@ mod tests {
     #[test]
     fn tfidf_and_topic_models_are_rejected() {
         let gen = smoke_gen(1);
-        let tfidf = IngestOptions {
+        let tfidf = ReplayOptions {
             config: bag_config(WeightingScheme::TFIDF),
-            ..IngestOptions::default()
+            ..ReplayOptions::default()
         };
         assert!(ingest_stream(&gen, tfidf).is_err(), "TF-IDF needs corpus document frequencies");
-        let topic = IngestOptions {
+        let topic = ReplayOptions {
             config: EngineConfig {
                 model: ServeModel::Topic {
                     topics: 4,
@@ -313,7 +280,7 @@ mod tests {
                 },
                 window: 64,
             },
-            ..IngestOptions::default()
+            ..ReplayOptions::default()
         };
         assert!(ingest_stream(&gen, topic).is_err(), "topic needs the materialized corpus");
     }
@@ -324,71 +291,23 @@ mod tests {
         // reproduce the replay path's `IndexedVectorizer` vectors
         // bit-for-bit — same first-seen dimension ids (originals stream in
         // id order), same sort-and-run-length counting. Token grams differ
-        // by the corpus-fitted stop filter, so char grams are what the
-        // byte-equality pin uses, mirroring the graph test below.
-        let gen = smoke_gen(42);
-        let config = bag_config(WeightingScheme::TF);
-        let k = 10;
-        let query_every = 25;
-        let streamed = run(
-            &gen,
-            IngestOptions { config, k, query_every, jobs: 2, ..IngestOptions::default() },
-        );
-        let prepared = PreparedCorpus::new(gen.materialize(), SplitConfig::default())
-            .expect("materialized corpus is well-formed");
-        let replayed = Replay::run(
-            &prepared,
-            ReplayOptions { config, runtime: RuntimeOptions::default(), k, query_every, jobs: 1 },
-        );
-        assert_eq!(streamed.events, replayed.events);
-        assert_eq!(streamed.queries, replayed.queries);
-        assert!(streamed.queries > 0);
-        assert_eq!(
-            rec_log(&streamed.recommendations).unwrap(),
-            rec_log(&replayed.recommendations).unwrap()
-        );
+        // by the corpus-fitted stop filter (pinned below), so char grams
+        // are what the byte-equality pin uses, mirroring the graph test.
+        assert_ingest_matches_replay(bag_config(WeightingScheme::TF));
     }
 
     #[test]
     fn bag_shard_layout_never_changes_the_recommendation_log() {
-        let gen = smoke_gen(9);
-        let base = IngestOptions {
-            config: bag_config(WeightingScheme::BF),
-            jobs: 2,
-            ..IngestOptions::default()
-        };
-        let one = run(
-            &gen,
-            IngestOptions {
-                runtime: RuntimeOptions {
-                    shards: 1,
-                    queue_capacity: 64,
-                    ..RuntimeOptions::default()
-                },
-                ..base
-            },
-        );
-        let four = run(
-            &gen,
-            IngestOptions {
-                runtime: RuntimeOptions {
-                    shards: 4,
-                    queue_capacity: 64,
-                    ..RuntimeOptions::default()
-                },
-                ..base
-            },
-        );
-        assert!(one.queries > 0);
-        assert_eq!(rec_log(&one.recommendations).unwrap(), rec_log(&four.recommendations).unwrap());
+        let config = bag_config(WeightingScheme::BF);
+        assert_layout_free(&smoke_gen(9), ReplayOptions { config, jobs: 2, ..Default::default() });
     }
 
     #[test]
     fn jobs_never_change_the_recommendation_log() {
         let gen = smoke_gen(5);
-        let base = IngestOptions { config: graph_config(), ..IngestOptions::default() };
-        let serial = run(&gen, IngestOptions { jobs: 1, ..base });
-        let parallel = run(&gen, IngestOptions { jobs: 4, ..base });
+        let base = ReplayOptions { config: graph_config(), ..ReplayOptions::default() };
+        let serial = run(&gen, ReplayOptions { jobs: 1, ..base });
+        let parallel = run(&gen, ReplayOptions { jobs: 4, ..base });
         assert!(serial.queries > 0);
         assert_eq!(
             rec_log(&serial.recommendations).unwrap(),
@@ -398,62 +317,54 @@ mod tests {
 
     #[test]
     fn shard_layout_never_changes_the_recommendation_log() {
-        let gen = smoke_gen(9);
-        let base = IngestOptions { config: graph_config(), jobs: 2, ..IngestOptions::default() };
-        let one = run(
-            &gen,
-            IngestOptions {
-                runtime: RuntimeOptions {
-                    shards: 1,
-                    queue_capacity: 64,
-                    ..RuntimeOptions::default()
-                },
-                ..base
-            },
-        );
-        let four = run(
-            &gen,
-            IngestOptions {
-                runtime: RuntimeOptions {
-                    shards: 4,
-                    queue_capacity: 64,
-                    ..RuntimeOptions::default()
-                },
-                ..base
-            },
-        );
-        assert!(one.queries > 0);
-        assert_eq!(rec_log(&one.recommendations).unwrap(), rec_log(&four.recommendations).unwrap());
+        let config = graph_config();
+        assert_layout_free(&smoke_gen(9), ReplayOptions { config, jobs: 2, ..Default::default() });
     }
 
     #[test]
     fn ingest_agrees_with_replay_on_the_materialized_corpus() {
         // Char-gram features are computed identically by streaming ingest
-        // and by the prepared-corpus replay path (token grams differ by the
-        // corpus-fitted stop filter, so they are not comparable). With the
-        // same event order, fan-out graph, and query schedule, the two
-        // paths must produce byte-identical recommendation logs.
+        // and by the prepared-corpus replay path. With the same event
+        // order, fan-out graph, and query schedule, the two paths must
+        // produce byte-identical recommendation logs.
+        assert_ingest_matches_replay(graph_config());
+    }
+
+    #[test]
+    fn the_stop_filter_is_the_only_gram_difference_from_replay() {
+        // For every original and n = 1..3: stop-filtering the streamed
+        // tokens before n-gramming yields exactly replay's token grams, and
+        // char grams agree with no filter at all. The unfiltered token
+        // grams must differ somewhere, or this pin would show nothing.
         let gen = smoke_gen(42);
-        let config = graph_config();
-        let k = 10;
-        let query_every = 25;
-        let streamed = run(
-            &gen,
-            IngestOptions { config, k, query_every, jobs: 2, ..IngestOptions::default() },
-        );
         let prepared = PreparedCorpus::new(gen.materialize(), SplitConfig::default())
             .expect("materialized corpus is well-formed");
-        let replayed = Replay::run(
-            &prepared,
-            ReplayOptions { config, runtime: RuntimeOptions::default(), k, query_every, jobs: 1 },
-        );
-        assert_eq!(streamed.events, replayed.events);
-        assert_eq!(streamed.queries, replayed.queries);
-        assert!(streamed.queries > 0);
-        assert_eq!(
-            rec_log(&streamed.recommendations).unwrap(),
-            rec_log(&replayed.recommendations).unwrap()
-        );
+        let stopwords = prepared.stopwords();
+        let mut unfiltered_differs = 0;
+        for n in 1..=3 {
+            let tokens = prepared.gram_table(GramKind::Token, n);
+            let chars = prepared.gram_table(GramKind::Char, n);
+            for rec in (0..gen.num_chunks()).flat_map(|chunk| gen.render_chunk(chunk)) {
+                if rec.event.retweet_of.is_some() {
+                    continue;
+                }
+                let id = rec.event.tweet;
+                let streamed = stream_tokens(&rec.text);
+                let filtered: Vec<String> =
+                    streamed.iter().filter(|t| !stopwords.contains(t)).cloned().collect();
+                assert_eq!(token_ngrams(&filtered, n), tokens.doc_terms(id), "tweet {id:?}, n={n}");
+                let char_model = ServeModel::Graph {
+                    similarity: pmr_graph::GraphSimilarity::Value,
+                    char_grams: true,
+                    n,
+                };
+                assert_eq!(extract_grams(char_model, &rec.text), chars.doc_terms(id));
+                if token_ngrams(&streamed, n) != tokens.doc_terms(id) {
+                    unfiltered_differs += 1;
+                }
+            }
+        }
+        assert!(unfiltered_differs > 0, "the stop filter never changed a gram list");
     }
 
     #[test]
@@ -462,14 +373,14 @@ mod tests {
         // tiny queue must trip the backpressure (block-and-retry) path,
         // and blocking must not change a byte of output across layouts.
         let gen = smoke_gen(13);
-        let base = IngestOptions { config: graph_config(), ..IngestOptions::default() };
-        let logs: Vec<String> = [1usize, 2, 5]
+        let base = ReplayOptions { config: graph_config(), ..ReplayOptions::default() };
+        let logs: Vec<String> = [1, 2, 5]
             .into_iter()
             .map(|shards| {
                 let _ = pmr_obs::install(pmr_obs::Recorder::monotonic());
                 let outcome = run(
                     &gen,
-                    IngestOptions {
+                    ReplayOptions {
                         runtime: RuntimeOptions {
                             shards,
                             queue_capacity: 2,

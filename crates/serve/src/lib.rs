@@ -61,6 +61,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod config;
+pub mod driver;
 pub mod engine;
 pub mod ingest;
 pub mod replay;
@@ -69,8 +70,9 @@ pub mod shard;
 pub mod snapshot;
 
 pub use config::{EngineConfig, RuntimeOptions, ServeModel};
-pub use engine::Engine;
-pub use ingest::{ingest_stream, IngestOptions, IngestOutcome};
+pub use driver::StreamDriver;
+pub use engine::{Engine, Op};
+pub use ingest::ingest_stream;
 pub use replay::{precompute_features, rec_log, Replay, ReplayOptions, ReplayOutcome};
 pub use shard::{RecItem, Recommendation, TweetFeatures};
 pub use snapshot::{

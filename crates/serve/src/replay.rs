@@ -1,42 +1,40 @@
 //! Deterministic stream replay: drive an [`Engine`] from a simulated
 //! corpus's event stream.
 //!
-//! The driver walks [`pmr_sim::Corpus::event_stream`] in its total order
-//! and translates each event into engine calls:
+//! The replay walks [`pmr_sim::Corpus::event_stream`] in its total order
+//! and hands each event to the shared [`StreamDriver`] rule, querying
+//! [`pmr_sim::Corpus::evaluated_user_ids`] round-robin. What it adds is
+//! its feature source and the state a materialized corpus makes possible:
 //!
-//! * an **original** tweet is fanned out as a candidate to every follower
-//!   of its author;
-//! * a **retweet** does two things: the reposter's model *observes* the
-//!   original's features (a retweet is the interest signal the whole study
-//!   is built on), and the original is fanned out as a candidate to the
-//!   reposter's followers — how content propagates past the author's own
-//!   audience;
-//! * every `query_every` events, the next evaluated user (round-robin over
-//!   [`pmr_sim::Corpus::evaluated_user_ids`]) is asked for their top-k as
-//!   of the event's timestamp.
-//!
-//! Features are computed **once per original tweet** before replay starts,
-//! in parallel over `jobs` workers through the corpus's shared
-//! [`pmr_core::FeatureCache`]-backed gram tables, and shared by `Arc` with
-//! every shard that sees the tweet. Precomputation order is canonical
-//! (`pmr_core::executor::run_tasks` returns results in input order), so
-//! `jobs` never changes a feature, a score, or a recommendation.
+//! * features are computed **once per original tweet** before replay
+//!   starts, in parallel over `jobs` workers through the corpus's shared
+//!   [`pmr_core::FeatureCache`]-backed gram tables, and shared by `Arc`
+//!   with every shard that sees the tweet. Precomputation order is
+//!   canonical (`pmr_core::executor::run_tasks` returns results in input
+//!   order), so `jobs` never changes a feature, a score, or a
+//!   recommendation;
+//! * the topic family's background is retrained on a fixed event cadence
+//!   and broadcast between the same two events in every layout;
+//! * a replay pauses at any event boundary ([`Replay::snapshot`]) and
+//!   resumes under any layout ([`Replay::resume`]).
 
 use std::sync::Arc;
 
 use pmr_bag::IndexedVectorizer;
 use pmr_core::executor::run_tasks;
 use pmr_core::{GramKind, PmrError, PmrResult, PreparedCorpus};
-use pmr_sim::{StreamEvent, TweetId, UserId};
+use pmr_sim::{StreamEvent, TweetId};
 use pmr_text::vocab::TermId;
 use pmr_topics::{TopicBackground, TopicDoc};
 
 use crate::config::{EngineConfig, RuntimeOptions, ServeModel};
+use crate::driver::StreamDriver;
 use crate::engine::Engine;
 use crate::shard::{Recommendation, TweetFeatures};
 use crate::snapshot::EngineSnapshot;
 
-/// Everything a replay run needs beyond the corpus itself.
+/// Everything a replay or a streaming ingest run needs beyond its event
+/// source.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayOptions {
     /// The engine's semantic configuration.
@@ -47,7 +45,8 @@ pub struct ReplayOptions {
     pub k: usize,
     /// Issue one query every this many events (0 disables querying).
     pub query_every: usize,
-    /// Worker threads for the feature precomputation pass (must not
+    /// Worker threads for the feature pass: precomputing a corpus's
+    /// features, or rendering and featurizing streamed chunks (must not
     /// affect output).
     pub jobs: usize,
 }
@@ -73,7 +72,7 @@ impl Default for ReplayOptions {
     }
 }
 
-/// The result of a completed replay.
+/// The result of a completed replay or streaming ingest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Every answered query, in query-id order.
@@ -82,6 +81,17 @@ pub struct ReplayOutcome {
     pub events: u64,
     /// Queries issued.
     pub queries: u64,
+}
+
+impl ReplayOutcome {
+    /// Close `engine`'s stream and collect what `driver` fed it.
+    pub(crate) fn finish(engine: Engine, driver: &StreamDriver) -> ReplayOutcome {
+        ReplayOutcome {
+            recommendations: engine.finish(),
+            events: driver.events(),
+            queries: driver.queries(),
+        }
+    }
 }
 
 /// Per-tweet features for the originals of a corpus, indexed by tweet id
@@ -143,10 +153,9 @@ pub struct Replay<'a> {
     prepared: &'a PreparedCorpus,
     features: Vec<Option<Arc<TweetFeatures>>>,
     stream: Vec<StreamEvent>,
-    eval_users: Vec<UserId>,
     options: ReplayOptions,
     engine: Engine,
-    position: usize,
+    driver: StreamDriver,
     /// The topic vocabulary size (0 for the gram families): the token
     /// unigram table's corpus-wide vocabulary, stable across epochs.
     topic_vocab: usize,
@@ -165,10 +174,9 @@ impl<'a> Replay<'a> {
             prepared,
             features,
             stream: prepared.corpus.event_stream(),
-            eval_users: prepared.corpus.evaluated_user_ids().collect(),
             options,
             engine,
-            position: 0,
+            driver: StreamDriver::new(&options, prepared.corpus.evaluated_user_ids().collect()),
             epoch: 0,
         };
         // Topic bootstrap (epoch 0): train on all materialized originals —
@@ -202,15 +210,16 @@ impl<'a> Replay<'a> {
                 |id: TweetId| features.get(id.index()).and_then(|f| f.as_ref().map(Arc::clone));
             Engine::resume(snapshot, options.runtime, &resolve)?
         };
+        let driver = StreamDriver::new(&options, prepared.corpus.evaluated_user_ids().collect())
+            .resumed(snapshot.header.events, snapshot.header.queries);
         let mut replay = Replay {
             topic_vocab: topic_vocab(prepared, options.config.model),
             prepared,
             features,
             stream: prepared.corpus.event_stream(),
-            eval_users: prepared.corpus.evaluated_user_ids().collect(),
             options,
             engine,
-            position: snapshot.header.events as usize,
+            driver,
             epoch: snapshot.header.epoch,
         };
         // Re-derive the snapshot's background: it is a pure function of
@@ -229,17 +238,7 @@ impl<'a> Replay<'a> {
 
     /// Events ingested so far.
     pub fn position(&self) -> usize {
-        self.position
-    }
-
-    /// Fan `tweet` (with its precomputed features) out to `author`'s
-    /// followers as a candidate.
-    fn fan_out(&mut self, author: UserId, tweet: TweetId, at: pmr_sim::Timestamp) {
-        if let Some(features) = self.features[tweet.index()].clone() {
-            for &follower in self.prepared.corpus.graph.followers(author) {
-                self.engine.post_candidate(follower, tweet, at, &features);
-            }
-        }
+        self.driver.events() as usize
     }
 
     /// Retrain the topic background for `epoch` — `None` for the gram
@@ -279,10 +278,11 @@ impl<'a> Replay<'a> {
         let Some((_, _, refresh)) = self.options.config.model.online_topic() else {
             return;
         };
-        if refresh == 0 || self.position == 0 || !(self.position as u64).is_multiple_of(refresh) {
+        let position = self.driver.events();
+        if refresh == 0 || position == 0 || !position.is_multiple_of(refresh) {
             return;
         }
-        let target_epoch = self.position as u64 / refresh;
+        let target_epoch = position / refresh;
         if target_epoch <= self.epoch {
             return;
         }
@@ -296,30 +296,19 @@ impl<'a> Replay<'a> {
     /// stream's end).
     pub fn run_to(&mut self, target: usize) {
         let target = target.min(self.stream.len());
-        while self.position < target {
+        while self.position() < target {
             self.maybe_refresh_background();
-            let event = self.stream[self.position];
-            pmr_obs::counter_add("serve.events", 1);
-            match event.retweet_of {
-                None => self.fan_out(event.author, event.tweet, event.at),
-                Some(original) => {
-                    if let Some(features) = self.features[original.index()].clone() {
-                        self.engine.observe(event.author, &features);
-                    }
-                    // The repost surfaces the *original* to the reposter's
-                    // audience at the repost's time.
-                    self.fan_out(event.author, original, event.at);
-                }
-            }
-            self.position += 1;
-            if self.options.query_every > 0
-                && self.position.is_multiple_of(self.options.query_every)
-                && !self.eval_users.is_empty()
-            {
-                let issued = self.engine.queries_issued() as usize;
-                let user = self.eval_users[issued % self.eval_users.len()];
-                self.engine.query(user, self.options.k, event.at);
-            }
+            let event = self.stream[self.position()];
+            let original = event.retweet_of.unwrap_or(event.tweet);
+            let engine = &mut self.engine;
+            self.driver.event(
+                &event,
+                self.features[original.index()].as_ref(),
+                self.prepared.corpus.graph.followers(event.author),
+                |op| {
+                    engine.apply(&op);
+                },
+            );
         }
     }
 
@@ -332,15 +321,12 @@ impl<'a> Replay<'a> {
     ///
     /// Errors if a shard worker died mid-stream (see [`Engine::snapshot`]).
     pub fn snapshot(&mut self) -> PmrResult<EngineSnapshot> {
-        self.engine.snapshot(self.position as u64)
+        self.engine.snapshot(self.driver.events())
     }
 
     /// Close the stream and collect every recommendation in query order.
     pub fn finish(self) -> ReplayOutcome {
-        let events = self.position as u64;
-        let queries = self.engine.queries_issued();
-        let recommendations = self.engine.finish();
-        ReplayOutcome { recommendations, events, queries }
+        ReplayOutcome::finish(self.engine, &self.driver)
     }
 
     /// Convenience: replay the whole stream in one call.
@@ -355,7 +341,7 @@ impl std::fmt::Debug for Replay<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Replay")
             .field("options", &self.options)
-            .field("position", &self.position)
+            .field("position", &self.position())
             .field("stream_len", &self.stream.len())
             .finish()
     }

@@ -5,8 +5,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pmr::bag::{BagSimilarity, BagVectorizer, WeightingScheme};
-use pmr::core::{OnlineBagModel, OnlineGraphModel};
+use pmr::bag::{BagSimilarity, BagVectorizer, ScoringKernel, SparseVector, WeightingScheme};
+use pmr::core::{OnlineGraphModel, OnlineProfile};
 use pmr::graph::GraphSimilarity;
 use pmr::topics::{BtmConfig, BtmModel, LdaConfig, LdaModel, TopicCorpus, TopicModel};
 
@@ -47,28 +47,43 @@ fn btm_model_roundtrips() {
     assert_eq!(model.phi(), back.phi());
 }
 
+/// A unit-normalizing vectorizer over `docs()`: the serving engine's
+/// shared feature space, which bag profiles observe and score in.
+fn unit_vectors(weighting: WeightingScheme) -> impl Fn(&[String]) -> SparseVector {
+    let vectorizer = BagVectorizer::fit(weighting, docs().iter());
+    move |doc| vectorizer.transform(doc).normalized()
+}
+
+/// A bag profile's score for `candidate`, through the shard's kernel.
+fn bag_score(profile: &OnlineProfile, similarity: BagSimilarity, candidate: &SparseVector) -> f64 {
+    ScoringKernel::new(similarity, profile.vector()).score(candidate)
+}
+
 #[test]
 fn online_models_roundtrip_mid_stream() {
-    let vectorizer = BagVectorizer::fit(WeightingScheme::TF, docs().iter());
-    let mut bag = OnlineBagModel::new(vectorizer, BagSimilarity::Cosine, 0.9);
+    let unit = unit_vectors(WeightingScheme::TF);
+    let mut bag = OnlineProfile::new(0.9);
     let mut graph = OnlineGraphModel::new(GraphSimilarity::Value, 2);
     for d in docs().iter().take(2) {
-        bag.observe(d);
+        bag.observe_unit(&unit(d));
         graph.observe(d);
     }
     // Checkpoint, restore, continue the stream on both copies.
     let bag_json = serde_json::to_string(&bag).expect("serializes");
     let graph_json = serde_json::to_string(&graph).expect("serializes");
-    let mut bag_restored: OnlineBagModel = serde_json::from_str(&bag_json).expect("ok");
+    let mut bag_restored: OnlineProfile = serde_json::from_str(&bag_json).expect("ok");
     let mut graph_restored: OnlineGraphModel = serde_json::from_str(&graph_json).expect("ok");
     for d in docs().iter().skip(2) {
-        bag.observe(d);
-        bag_restored.observe(d);
+        bag.observe_unit(&unit(d));
+        bag_restored.observe_unit(&unit(d));
         graph.observe(d);
         graph_restored.observe(d);
     }
     let probe = vec!["cat".to_owned(), "code".to_owned()];
-    assert_eq!(bag.score(&probe), bag_restored.score(&probe));
+    assert_eq!(
+        bag_score(&bag, BagSimilarity::Cosine, &unit(&probe)),
+        bag_score(&bag_restored, BagSimilarity::Cosine, &unit(&probe))
+    );
     assert_eq!(graph.score(&probe), graph_restored.score(&probe));
 }
 
@@ -83,20 +98,24 @@ fn online_models_roundtrip_with_identical_scores_on_a_probe_set() {
         .iter()
         .map(|s| s.split_whitespace().map(str::to_owned).collect())
         .collect();
+    let unit = unit_vectors(WeightingScheme::TFIDF);
+    let mut profile = OnlineProfile::new(0.8);
+    for d in docs() {
+        profile.observe_unit(&unit(&d));
+    }
+    let json = serde_json::to_string(&profile).expect("serializes");
+    let back: OnlineProfile = serde_json::from_str(&json).expect("deserializes");
+    assert_eq!(back.documents(), profile.documents(), "document count must survive");
+    assert_eq!(back.vector(), profile.vector(), "profile vector must survive bit-exactly");
     for similarity in
         [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard]
     {
-        let vectorizer = BagVectorizer::fit(WeightingScheme::TFIDF, docs().iter());
-        let mut model = OnlineBagModel::new(vectorizer, similarity, 0.8);
-        for d in docs() {
-            model.observe(&d);
-        }
-        let json = serde_json::to_string(&model).expect("serializes");
-        let back: OnlineBagModel = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back.documents(), model.documents(), "document count must survive");
-        assert_eq!(back.model(), model.model(), "profile vector must survive bit-exactly");
         for p in &probes {
-            assert_eq!(model.score(p), back.score(p), "{similarity:?} score drifted on {p:?}");
+            assert_eq!(
+                bag_score(&profile, similarity, &unit(p)),
+                bag_score(&back, similarity, &unit(p)),
+                "{similarity:?} score drifted on {p:?}"
+            );
         }
     }
     for similarity in
