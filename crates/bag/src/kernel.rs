@@ -306,5 +306,21 @@ mod proptests {
                 }
             }
         }
+
+        /// A doc sharing no term with the model scores exactly 0.0 under
+        /// every bag similarity: zero overlap means a zero dot product (CS)
+        /// or an empty intersection (JS, GJS).
+        #[test]
+        fn zero_overlap_scores_exactly_zero(
+            model_pairs in proptest::collection::vec((0u32..20, -4.0f32..4.0), 0..12),
+            doc_pairs in proptest::collection::vec((20u32..40, -4.0f32..4.0), 0..12),
+        ) {
+            let model = SparseVector::from_pairs(model_pairs);
+            let doc = SparseVector::from_pairs(doc_pairs);
+            for sim in [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard] {
+                let kernel = ScoringKernel::new(sim, &model);
+                prop_assert_eq!(kernel.score(&doc).to_bits(), 0.0f64.to_bits(), "{}", sim.name());
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The engine is single-writer: one thread (a [`crate::StreamDriver`]
 //! caller, or any other) pushes candidates, observations and queries; the
-//! work-stealing [`crate::runtime::ShardRuntime`] applies them on its
+//! work-stealing `runtime::ShardRuntime` applies them on its
 //! worker threads.
 //! Shard mailboxes are **bounded** — when a shard falls behind, the writer
 //! blocks on that shard's mailbox after bumping the `serve.backpressure`
@@ -282,7 +282,7 @@ impl Engine {
     /// Errors instead of waiting forever when a shard worker has died: a
     /// dead shard never answers the barrier, and its live siblings keep
     /// the reply channel open, so a plain `recv()` loop would hang. The
-    /// worker's panic guard turns the death into a [`ShardReply::Aborted`]
+    /// worker's panic guard turns the death into a `ShardReply::Aborted`
     /// the loop below observes.
     pub fn snapshot(&mut self, events: u64) -> PmrResult<EngineSnapshot> {
         let shards = self.runtime.shards();

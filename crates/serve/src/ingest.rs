@@ -22,7 +22,7 @@
 //! **Model restrictions.** Graph models and TF/BF bag models are
 //! streamable. A TF/BF bag vector depends only on the document itself plus
 //! a *dimension id space*, and the id space can be grown incrementally:
-//! [`StreamBagVectorizer`] interns unknown grams in first-seen stream
+//! `StreamBagVectorizer` interns unknown grams in first-seen stream
 //! order over original tweets, which reproduces — prefix by prefix — the
 //! exact local ids [`pmr_bag::IndexedVectorizer::fit`] assigns over the
 //! materialized corpus (original tweet ids are allocated in stream order,

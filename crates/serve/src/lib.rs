@@ -48,10 +48,9 @@
 //! * there is no wall-clock anywhere in the serving path — time is the
 //!   stream's own timestamps, and observability timers run on `pmr-obs`'s
 //!   injected clock;
-//! * bag and graph queries score only the candidates their per-window
-//!   postings ([`pmr_core::WindowPostings`]) match against the model; a
-//!   candidate sharing no feature with the model scores exactly `0.0`
-//!   under every similarity, so zero-filling it is exact, not a heuristic.
+//! * a query scores every eligible candidate of the user's window in
+//!   window order, so a graph model interns candidate grams in the same
+//!   sequence under every layout.
 //!
 //! CI's `serve-smoke` job replays a seeded stream under 1 vs 4 shards and
 //! 1 vs 4 jobs and byte-diffs the logs; the same checks run in-repo as

@@ -8,16 +8,15 @@
 //! changes *which thread* applies the sequence, never the sequence itself.
 //! That argument is the whole determinism proof; everything else in this
 //! module is bookkeeping. The thread-scheduling half lives in
-//! [`crate::runtime`]; this module owns the pure state transition
-//! ([`ShardState::apply`]).
+//! `crate::runtime`; this module owns the pure state transition
+//! (`ShardState::apply`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use pmr_bag::{ScoringKernel, SparseVector};
-use pmr_core::{rank_cmp, OnlineGraphModel, OnlineProfile, WindowPostings};
+use pmr_core::{rank_cmp, OnlineGraphModel, OnlineProfile};
 use pmr_sim::{Timestamp, TweetId, UserId};
-use pmr_text::vocab::TermId;
 use pmr_topics::{TopicBackground, TopicDoc, TopicProfile};
 use serde::{Deserialize, Serialize};
 
@@ -122,71 +121,13 @@ struct WindowEntry {
     features: Arc<TweetFeatures>,
 }
 
-/// Incremental retrieval index over one user's candidate window, keyed by
-/// the model family's feature space: bag vectors post under their term
-/// ids, graph gram lists under their gram surface forms. Maintained on
-/// every window insert/evict so queries can zero-fill candidates that
-/// share no feature with the model — exactly the candidates every
-/// similarity maps to `0.0`.
-#[derive(Debug)]
-enum WindowIndex {
-    Bag(WindowPostings<TermId>),
-    Graph(WindowPostings<String>),
-    /// The topic family keeps no postings: a candidate sharing no token
-    /// with the profile still folds to a θ with non-zero cosine (θ is
-    /// smoothed by α, and an empty doc folds to uniform), so zero-filling
-    /// unmatched candidates would *change* scores. Topic queries always
-    /// score the window exhaustively.
-    Topic,
-}
-
-impl WindowIndex {
-    fn for_model(model: &UserModel) -> WindowIndex {
-        match model {
-            UserModel::Bag(_) => WindowIndex::Bag(WindowPostings::new()),
-            UserModel::Graph(_) => WindowIndex::Graph(WindowPostings::new()),
-            UserModel::Topic(_) => WindowIndex::Topic,
-        }
-    }
-
-    /// Post a window entry's features under its tweet id. A features/model
-    /// family mismatch posts nothing; the query path skips such entries
-    /// too, so the postings stay exact.
-    fn insert(&mut self, tweet: TweetId, features: &TweetFeatures) {
-        match (self, features) {
-            (WindowIndex::Bag(postings), TweetFeatures::Bag(v)) => {
-                postings.insert(tweet.0, v.entries().iter().map(|&(t, _)| t));
-            }
-            (WindowIndex::Graph(postings), TweetFeatures::Graph(grams)) => {
-                postings.insert(tweet.0, grams.iter().cloned());
-            }
-            _ => {}
-        }
-    }
-
-    /// Remove an evicted entry's postings.
-    fn remove(&mut self, tweet: TweetId, features: &TweetFeatures) {
-        match (self, features) {
-            (WindowIndex::Bag(postings), TweetFeatures::Bag(v)) => {
-                let keys: Vec<TermId> = v.entries().iter().map(|&(t, _)| t).collect();
-                postings.remove(tweet.0, keys.iter());
-            }
-            (WindowIndex::Graph(postings), TweetFeatures::Graph(grams)) => {
-                postings.remove(tweet.0, grams.iter());
-            }
-            _ => {}
-        }
-    }
-}
-
 /// One user's complete serving state: their model plus the bounded window
-/// of recent feed tweets still eligible for recommendation, mirrored by
-/// the incremental retrieval index over that window.
+/// of recent feed tweets still eligible for recommendation. A query scores
+/// every eligible window entry, as the sweep scores every test document.
 #[derive(Debug)]
 pub(crate) struct UserState {
     model: UserModel,
     window: VecDeque<WindowEntry>,
-    index: WindowIndex,
 }
 
 impl UserState {
@@ -200,8 +141,7 @@ impl UserState {
                 UserModel::Topic(TopicProfile::new(decay, topics))
             }
         };
-        let index = WindowIndex::for_model(&model);
-        UserState { model, window: VecDeque::new(), index }
+        UserState { model, window: VecDeque::new() }
     }
 
     /// Rebuild a state from its snapshot, resolving window entries' tweet
@@ -223,13 +163,7 @@ impl UserState {
                 Some(WindowEntry { tweet: TweetId(e.tweet), at: e.at, features })
             })
             .collect();
-        // The index is derived state: rebuild it from the restored window
-        // so a resumed engine answers queries exactly like the original.
-        let mut index = WindowIndex::for_model(&model);
-        for e in &window {
-            index.insert(e.tweet, &e.features);
-        }
-        UserState { model, window, index }
+        UserState { model, window }
     }
 
     fn snapshot(&self, user: UserId) -> UserSnapshot {
@@ -331,12 +265,9 @@ impl ShardState {
             pmr_obs::counter_add("serve.window_duplicates", 1);
             return;
         }
-        state.index.insert(tweet, &features);
         state.window.push_back(WindowEntry { tweet, at, features });
         while state.window.len() > cap {
-            if let Some(evicted) = state.window.pop_front() {
-                state.index.remove(evicted.tweet, &evicted.features);
-            }
+            state.window.pop_front();
             pmr_obs::counter_add("serve.window_evictions", 1);
         }
     }
@@ -395,73 +326,41 @@ impl ShardState {
             return self.query_topic(id, user, k, now);
         }
         let mut items: Vec<RecItem> = Vec::new();
-        let mut scored = 0u64;
-        let mut pruned = 0u64;
         if let Some(state) = self.users.get_mut(&user) {
-            let UserState { model, window, index } = state;
-            match (model, &*index) {
-                (UserModel::Bag(profile), WindowIndex::Bag(postings)) => {
-                    if let ServeModel::Bag { similarity, .. } = self.config.model {
-                        // One kernel per query amortizes the model-side
-                        // normalization over the whole window. Candidates
-                        // sharing no term with the model are zero-filled
-                        // without a kernel call: every bag similarity maps
-                        // empty overlap to exactly 0.0, so the scores are
-                        // byte-identical to scoring every candidate.
-                        let kernel = ScoringKernel::new(similarity, profile.vector());
-                        let keys: Vec<TermId> =
-                            profile.vector().entries().iter().map(|&(t, _)| t).collect();
-                        let matched = postings.matched(keys.iter());
-                        for e in window.iter().filter(|e| e.at <= now) {
-                            if let TweetFeatures::Bag(v) = e.features.as_ref() {
-                                let score = if matched.binary_search(&e.tweet.0).is_ok() {
-                                    scored += 1;
-                                    kernel.score(v)
-                                } else {
-                                    pruned += 1;
-                                    0.0
-                                };
-                                items.push(RecItem { tweet: e.tweet.0, score });
-                            }
+            let eligible = state.window.iter().filter(|e| e.at <= now);
+            match (&mut state.model, self.config.model) {
+                (UserModel::Bag(profile), ServeModel::Bag { similarity, .. }) => {
+                    // One kernel per query amortizes the model-side
+                    // normalization over the whole window.
+                    let kernel = ScoringKernel::new(similarity, profile.vector());
+                    for e in eligible {
+                        if let TweetFeatures::Bag(v) = e.features.as_ref() {
+                            items.push(RecItem { tweet: e.tweet.0, score: kernel.score(v) });
                         }
                     }
                 }
-                (UserModel::Graph(graph), WindowIndex::Graph(postings)) => {
-                    // A shared edge requires a shared node gram, so gating
-                    // on gram overlap never drops a candidate that could
-                    // score non-zero. Gated-out candidates still intern
-                    // their grams (`intern_only`) so the graph space
-                    // assigns ids in the same order as scoring every
-                    // candidate would — later scores depend on that order.
-                    let keys = graph.node_terms();
-                    let matched = postings.matched(keys.iter());
-                    for e in window.iter().filter(|e| e.at <= now) {
+                (UserModel::Graph(graph), _) => {
+                    // Scoring interns the candidate's grams, so later scores
+                    // depend on scoring every candidate in window order.
+                    for e in eligible {
                         if let TweetFeatures::Graph(grams) = e.features.as_ref() {
-                            let score = if matched.binary_search(&e.tweet.0).is_ok() {
-                                scored += 1;
-                                graph.score(grams)
-                            } else {
-                                pruned += 1;
-                                graph.intern_only(grams)
-                            };
-                            items.push(RecItem { tweet: e.tweet.0, score });
+                            items.push(RecItem { tweet: e.tweet.0, score: graph.score(grams) });
                         }
                     }
                 }
                 // Unreachable: topic queries dispatch to `query_topic`, and
-                // a user's index is always built for its own model family.
+                // a user's model is always built for the engine's family.
                 _ => {}
             }
         }
-        pmr_obs::counter_add("retrieval.candidates", scored);
-        pmr_obs::counter_add("retrieval.pruned", pruned);
+        pmr_obs::counter_add("retrieval.candidates", items.len() as u64);
         rank(id, user, now, items, k)
     }
 
-    /// The topic query path: always exhaustive over the eligible window
-    /// (see [`WindowIndex::Topic`] for why gating cannot apply), with θs
-    /// served from the shard memo. Split from [`ShardState::query`] because
-    /// θ computation borrows shard-level state the gram paths never touch.
+    /// The topic query path: scores the eligible window like the gram
+    /// paths, with θs served from the shard memo. Split from
+    /// [`ShardState::query`] because θ computation borrows shard-level state
+    /// the gram paths never touch.
     fn query_topic(&mut self, id: u64, user: UserId, k: usize, now: Timestamp) -> Recommendation {
         let eligible: Vec<(u32, Arc<TweetFeatures>)> = self
             .users
@@ -531,182 +430,5 @@ impl std::fmt::Debug for ShardState {
             .field("config", &self.config)
             .field("users", &self.users.len())
             .finish()
-    }
-}
-
-#[cfg(test)]
-impl ShardState {
-    /// The ungated reference for [`ShardState::query`]: score every
-    /// eligible candidate of a bag or graph user, ignoring the window
-    /// postings. The gate is exact only if the two always agree bit for
-    /// bit.
-    fn query_ungated(&mut self, id: u64, user: UserId, k: usize, now: Timestamp) -> Recommendation {
-        let mut items: Vec<RecItem> = Vec::new();
-        if let Some(state) = self.users.get_mut(&user) {
-            for e in state.window.iter().filter(|e| e.at <= now) {
-                let score = match (&mut state.model, e.features.as_ref(), self.config.model) {
-                    (
-                        UserModel::Bag(profile),
-                        TweetFeatures::Bag(v),
-                        ServeModel::Bag { similarity, .. },
-                    ) => ScoringKernel::new(similarity, profile.vector()).score(v),
-                    (UserModel::Graph(graph), TweetFeatures::Graph(grams), _) => graph.score(grams),
-                    _ => continue,
-                };
-                items.push(RecItem { tweet: e.tweet.0, score });
-            }
-        }
-        rank(id, user, now, items, k)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pmr_bag::{BagSimilarity, WeightingScheme};
-    use pmr_graph::GraphSimilarity;
-
-    /// Two vocabularies: the users observe only `COMMON` words until
-    /// `LATE`, while candidates alternate between `COMMON` and `RARE`, so
-    /// every query window holds candidates sharing no feature with the
-    /// model. After `LATE` the users observe `RARE` words too, so a gated
-    /// candidate's grams later enter the model — which is where a graph
-    /// space interning in a different order would show.
-    const COMMON: [&str; 5] = ["cats", "purr", "nap", "milk", "yarn"];
-    const RARE: [&str; 4] = ["rust", "code", "borrow", "trait"];
-    const STEPS: u32 = 240;
-    const LATE: u32 = 160;
-
-    fn words(step: u32) -> Vec<&'static str> {
-        let vocab: &[&str] = if step % 3 == 1 { &RARE } else { &COMMON };
-        let len = vocab.len() as u32;
-        (0..2 + step % 3).map(|j| vocab[((step * 7 + j * 3) % len) as usize]).collect()
-    }
-
-    fn observed_words(step: u32) -> Vec<&'static str> {
-        if step >= LATE && step.is_multiple_of(2) {
-            words(step / 2 * 3 + 1)
-        } else {
-            words(step / 2 * 3)
-        }
-    }
-
-    fn term_id(word: &str) -> TermId {
-        COMMON.iter().chain(RARE.iter()).position(|w| *w == word).map_or(99, |i| i as TermId)
-    }
-
-    fn bag_features(words: &[&str]) -> Arc<TweetFeatures> {
-        let pairs = words.iter().map(|w| (term_id(w), 1.0)).collect();
-        Arc::new(TweetFeatures::Bag(SparseVector::from_pairs(pairs).normalized()))
-    }
-
-    fn graph_features(words: &[&str]) -> Arc<TweetFeatures> {
-        Arc::new(TweetFeatures::Graph(words.iter().map(|w| (*w).to_owned()).collect()))
-    }
-
-    /// Replay one stream through two identical shards, answering every
-    /// query through the gate on one and [`ShardState::query_ungated`] on
-    /// the other; items must match bit for bit, and so must the final
-    /// snapshots (for graph users that includes the space's interning
-    /// order).
-    fn assert_gate_is_exact(model: ServeModel, features: fn(&[&str]) -> Arc<TweetFeatures>) {
-        let config = EngineConfig { model, window: 6 };
-        let mut gated = ShardState::new(0, config, BTreeMap::new());
-        let mut ungated = ShardState::new(0, config, BTreeMap::new());
-        let mut replies = Vec::new();
-        // Test-side mirror of each user's observed words and window, to
-        // count queries whose window holds a zero-overlap candidate.
-        let mut observed: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
-        let mut windows: BTreeMap<u32, VecDeque<Vec<&str>>> = BTreeMap::new();
-        let mut zero_overlap_queries = 0;
-        for step in 0..STEPS {
-            let user = UserId(step % 3);
-            let observe = step.is_multiple_of(4);
-            let msgs = || {
-                let mut msgs = vec![ShardMsg::Candidate {
-                    user,
-                    tweet: TweetId(step),
-                    at: Timestamp::from(step),
-                    features: features(&words(step)),
-                }];
-                if observe {
-                    msgs.push(ShardMsg::Observe {
-                        user,
-                        features: features(&observed_words(step)),
-                    });
-                }
-                msgs
-            };
-            for msg in msgs() {
-                gated.apply(msg, &mut replies);
-            }
-            for msg in msgs() {
-                ungated.apply(msg, &mut replies);
-            }
-            let window = windows.entry(user.0).or_default();
-            window.push_back(words(step));
-            if window.len() > config.window {
-                window.pop_front();
-            }
-            let seen = observed.entry(user.0).or_default();
-            if observe {
-                seen.extend(observed_words(step));
-            }
-            if step % 5 == 4 {
-                let now = Timestamp::from(step);
-                gated.apply(ShardMsg::Query { id: step as u64, user, k: 4, now }, &mut replies);
-                let Some(ShardReply::Recommendation(got)) = replies.pop() else {
-                    panic!("a query must answer with a recommendation");
-                };
-                let want = ungated.query_ungated(step as u64, user, 4, now);
-                let bits = |r: &Recommendation| -> Vec<(u32, u64)> {
-                    r.items.iter().map(|i| (i.tweet, i.score.to_bits())).collect()
-                };
-                assert_eq!(bits(&got), bits(&want), "{}: query {step} diverged", model.name());
-                if !seen.is_empty()
-                    && window.iter().any(|doc| doc.iter().all(|w| !seen.contains(w)))
-                {
-                    zero_overlap_queries += 1;
-                }
-            }
-        }
-        assert!(zero_overlap_queries > 0, "the stream must exercise zero-overlap candidates");
-        let snapshot = |state: &mut ShardState| {
-            let mut replies = Vec::new();
-            state.apply(ShardMsg::Snapshot, &mut replies);
-            let Some(ShardReply::SnapshotPart { users }) = replies.pop() else {
-                panic!("a snapshot must answer with its users");
-            };
-            serde_json::to_string(&users).expect("users serialize")
-        };
-        assert_eq!(snapshot(&mut gated), snapshot(&mut ungated), "{} state diverged", model.name());
-    }
-
-    #[test]
-    fn gated_bag_queries_match_the_ungated_reference() {
-        for similarity in
-            [BagSimilarity::Cosine, BagSimilarity::Jaccard, BagSimilarity::GeneralizedJaccard]
-        {
-            let model = ServeModel::Bag {
-                weighting: WeightingScheme::TF,
-                similarity,
-                char_grams: false,
-                n: 1,
-                decay: 0.9,
-            };
-            assert_gate_is_exact(model, bag_features);
-        }
-    }
-
-    #[test]
-    fn gated_graph_queries_match_the_ungated_reference() {
-        for similarity in
-            [GraphSimilarity::Containment, GraphSimilarity::Value, GraphSimilarity::NormalizedValue]
-        {
-            for n in [1, 2] {
-                let model = ServeModel::Graph { similarity, char_grams: false, n };
-                assert_gate_is_exact(model, graph_features);
-            }
-        }
     }
 }

@@ -1,9 +1,8 @@
 //! The serving engine's determinism contract, enforced in-repo (CI's
 //! `serve-smoke` job repeats the same checks across *processes*): shard
 //! count, worker count, queue capacity and feature-precompute thread count
-//! must never change a byte of recommendation or snapshot output. That
-//! the per-window posting gate matches scoring every candidate is pinned
-//! next to the gate, in `pmr_serve::shard`'s unit tests.
+//! must never change a byte of recommendation or snapshot output. The
+//! root package's `serve_golden` test pins the same logs across commits.
 
 use pmr_bag::{BagSimilarity, WeightingScheme};
 use pmr_core::{PreparedCorpus, SplitConfig};

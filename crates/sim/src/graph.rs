@@ -90,7 +90,7 @@ impl SocialGraph {
     }
 
     /// Whether the edge `a → b` exists. O(1) for indexed (high out-degree)
-    /// nodes, O(degree) linear scan below [`INDEX_THRESHOLD`].
+    /// nodes, O(degree) linear scan below `INDEX_THRESHOLD`.
     pub fn follows(&self, a: UserId, b: UserId) -> bool {
         match &self.index[a.index()] {
             Some(set) => set.contains(&b),
